@@ -119,7 +119,7 @@ def cmd_delta(args) -> tuple[dict, int]:
     if args.method in ("box", "both"):
         if simplex.ambient_dim != simplex.dim:
             raise CommandFailure(EXIT_INVALID_INPUT, "box method needs a full-dimensional simplex")
-        deltas["box"] = delta_from_box(simplex)
+        deltas["box"] = delta_from_box(simplex, budget=args.budget)
     if args.method in ("counts", "both"):
         counts = [count_points(simplex, n, budget=args.budget) for n in range(1, d + 1)]
         deltas["counts"] = delta_from_counts(counts, d)
@@ -214,7 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="delta-vector and Ehrhart data of a polytope file")
     p.add_argument("polytope", help="path to a JSON polytope file")
     p.add_argument("--method", choices=("box", "counts", "both"), default="box")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate budget for the counting oracle")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="work budget: most box points (normalized volume) for the box method, "
+        "most bounding-box candidates per dilate for the counting method",
+    )
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("check", help="inequality report and realizability verdict")

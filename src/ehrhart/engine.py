@@ -3,9 +3,10 @@
 Two independent routes are provided on purpose:
 
 * ``delta_from_box`` enumerates the integer points of the half-open
-  fundamental parallelepiped of the lifted simplex, via Smith normal form of
-  the lifted vertex matrix.  It scales with the normalized volume, not the
-  dimension, so it handles the large-d constructed simplices.
+  fundamental parallelepiped of the lifted simplex, reading their weights
+  off the left transform of the Smith normal form of the lifted vertex
+  matrix with integer arithmetic only.  It scales with the normalized
+  volume, not the dimension, so it handles the large-d constructed simplices.
 * ``count_points`` scans the bounding box of a dilate and tests membership
   exactly; with ``delta_from_counts`` it forms the slow oracle used for
   cross-checking at desk scale.
@@ -16,10 +17,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
-from .intlinalg import IntegerMatrix, determinant, inverse_unimodular, smith_normal_form, solve_rational
+from .intlinalg import IntegerMatrix, determinant, smith_normal_form
 from .simplex import LatticeSimplex
 
 DEFAULT_BUDGET = 10**8
@@ -69,43 +70,93 @@ class BoxPoint:
     coefficients: tuple[Fraction, ...]
 
 
-def box_points(s: LatticeSimplex) -> list[BoxPoint]:
-    """All integer points of the fundamental parallelepiped, graded by degree.
+def _box_numerators(m: IntegerMatrix, budget: int) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """(D_max, numerators c) with the box points' weights equal to c / D_max.
 
-    Enumerates coset representatives of Z^(d+1) modulo the row lattice of the
-    lifted vertex matrix through its Smith normal form, then reduces each
-    representative's barycentric coordinates into [0, 1).
+    The box group is Z^(d+1) modulo the row lattice of ``m``.  With
+    ``U m V = D`` its weight vectors are frac(sum_i (w_i / D_i) U_i) for
+    w_i in [0, D_i) (Beck-Robins, ch. 3), so each numerator is an integer sum
+    of the rows (D_max / D_i) U_i taken modulo D_max.  Only invariant factors
+    D_i > 1 contribute.  Refuses before any enumeration when the group order
+    exceeds the budget; the numerators are generated lazily.
+    """
+    snf = smith_normal_form(m)
+    size = math.prod(snf.diag)
+    volume = abs(determinant(m))
+    if size != volume:
+        raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
+    if size > budget:
+        raise BudgetExceededError(size, budget)
+    dmax = snf.diag[-1]
+    orders = []
+    gens = []
+    for i, di in enumerate(snf.diag):
+        if di > 1:
+            orders.append(di)
+            gens.append(tuple(dmax // di * u % dmax for u in snf.left.row(i)))
+    # Membership c m = 0 (mod D_max) is linear, so checking the generators
+    # covers every numerator they generate.
+    k = m.rows
+    for g in gens:
+        if any(sum(g[i] * m[i, j] for i in range(k)) % dmax for j in range(k)):
+            raise InternalInconsistencyError(f"weight generator {g}/{dmax} is not a box point")
+
+    def walk(level: int, c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if level == len(gens):
+            yield c
+            return
+        g = gens[level]
+        for _ in range(orders[level]):
+            yield from walk(level + 1, c)
+            c = tuple((a + b) % dmax for a, b in zip(c, g))
+
+    return dmax, walk(0, (0,) * k)
+
+
+def _degree(c: tuple[int, ...], dmax: int) -> int:
+    degree, rest = divmod(sum(c), dmax)
+    if rest:
+        raise InternalInconsistencyError(f"weights {c}/{dmax} do not sum to an integer")
+    return degree
+
+
+def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint]:
+    """All integer points of the fundamental parallelepiped, sorted by
+    (degree, point).
+
+    Raises BudgetExceededError when the normalized volume exceeds ``budget``.
     """
     m = s.lifted_matrix()
-    snf = smith_normal_form(m)
-    v_inv = inverse_unimodular(snf.right)
-    mt = m.transpose()
-    k = s.dim + 1
-    seen: dict[tuple[Fraction, ...], BoxPoint] = {}
-    for w in itertools.product(*(range(di) for di in snf.diag)):
-        # Pull the representative back from SNF coordinates.
-        z = tuple(sum(w[i] * v_inv[i, j] for i in range(k)) for j in range(k))
-        r = solve_rational(mt, z)
-        frac = tuple(x - math.floor(x) for x in r)
-        if frac in seen:
-            continue
-        point = tuple(
-            sum(f * m[i, j] for i, f in enumerate(frac)) for j in range(k)
+    dmax, numerators = _box_numerators(m, budget)
+    k = m.rows
+    pts = []
+    for c in numerators:
+        point = []
+        for j in range(k):
+            x, rest = divmod(sum(c[i] * m[i, j] for i in range(k)), dmax)
+            if rest:
+                raise InternalInconsistencyError(f"weights {c}/{dmax} give a non-integer point")
+            point.append(x)
+        pts.append(
+            BoxPoint(
+                point=tuple(point),
+                degree=_degree(c, dmax),
+                coefficients=tuple(Fraction(x, dmax) for x in c),
+            )
         )
-        assert all(c.denominator == 1 for c in point)
-        point_int = tuple(int(c) for c in point)
-        degree = point_int[-1]
-        seen[frac] = BoxPoint(point=point_int, degree=degree, coefficients=frac)
-    pts = sorted(seen.values(), key=lambda b: (b.degree, b.point))
-    assert len(pts) == abs(determinant(m))
+    pts.sort(key=lambda b: (b.degree, b.point))
     return pts
 
 
-def delta_from_box(s: LatticeSimplex) -> DeltaVector:
-    """delta_i = number of parallelepiped points of degree i."""
+def delta_from_box(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> DeltaVector:
+    """delta_i = number of parallelepiped points of degree i.
+
+    Raises BudgetExceededError when the normalized volume exceeds ``budget``.
+    """
+    dmax, numerators = _box_numerators(s.lifted_matrix(), budget)
     entries = [0] * (s.dim + 1)
-    for bp in box_points(s):
-        entries[bp.degree] += 1
+    for c in numerators:
+        entries[_degree(c, dmax)] += 1
     return DeltaVector(tuple(entries))
 
 
@@ -119,7 +170,8 @@ def interior_box_degrees(s: LatticeSimplex) -> list[int]:
     for bp in box_points(s):
         comp = [Fraction(1) - r if r > 0 else Fraction(1) for r in bp.coefficients]
         deg = sum(comp)
-        assert deg.denominator == 1
+        if deg.denominator != 1:
+            raise InternalInconsistencyError(f"dual weights {comp} do not sum to an integer")
         degrees.append(int(deg))
     return sorted(degrees)
 

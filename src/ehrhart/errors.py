@@ -26,10 +26,11 @@ class ParameterError(EhrhartError):
 
 
 class BudgetExceededError(EhrhartError):
-    """Brute-force enumeration would exceed the configured candidate budget."""
+    """An enumeration (box points or bounding-box candidates) would exceed
+    the configured work budget."""
 
     def __init__(self, needed: int, budget: int):
-        super().__init__(f"bounding-box scan needs {needed} candidates, budget is {budget}")
+        super().__init__(f"enumeration needs {needed} points, budget is {budget}")
         self.needed = needed
         self.budget = budget
 

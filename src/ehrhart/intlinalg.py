@@ -152,19 +152,6 @@ def solve_rational(m: IntegerMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(a[i][n] for i in range(n))
 
 
-def inverse_unimodular(m: IntegerMatrix) -> IntegerMatrix:
-    """Invert a matrix with determinant +-1; the inverse is again integral."""
-    n = m.rows
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(solve_rational(m, e))
-    inv = [[cols[j][i] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise SingularMatrixError("matrix is not unimodular")
-    return IntegerMatrix([[int(x) for x in row] for row in inv], cols=n)
-
-
 def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
     """Diagonalize by unimodular row and column operations.
 

@@ -176,9 +176,17 @@ def construct_lemma_second(k: int, ell: int) -> LatticeSimplex:
 
 
 def _lift(s: LatticeSimplex, times: int) -> LatticeSimplex:
-    for _ in range(times):
-        s = s.pyramid()
-    return s
+    """``times`` iterated pyramids in one construction: pad every vertex with
+    ``times`` zeros and append the apexes e_(N+1), ..., e_(N+times)."""
+    if times == 0:
+        return s
+    n = s.ambient_dim
+    verts = [v + (0,) * times for v in s.vertices]
+    for t in range(times):
+        apex = [0] * (n + times)
+        apex[n + t] = 1
+        verts.append(apex)
+    return LatticeSimplex(verts)
 
 
 def realize(entries, verify: bool = True) -> tuple[LatticeSimplex, ConstructionPlan]:

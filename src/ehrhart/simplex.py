@@ -152,6 +152,11 @@ def dump_simplex(s: LatticeSimplex, path: str, plan: str | None = None) -> None:
         fh.write("\n")
 
 
+def _is_json_int(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_simplex(path: str) -> LatticeSimplex:
     """Read a polytope file; extra fields (e.g. a plan note) are ignored."""
     with open(path) as fh:
@@ -160,9 +165,9 @@ def load_simplex(path: str) -> LatticeSimplex:
         raise DimensionError("polytope file must contain ambient_dim and vertices")
     n = doc["ambient_dim"]
     verts = doc["vertices"]
-    if not isinstance(n, int) or not isinstance(verts, list):
+    if not _is_json_int(n) or not isinstance(verts, list):
         raise DimensionError("malformed polytope file")
     for v in verts:
-        if not isinstance(v, list) or len(v) != n or not all(isinstance(x, int) for x in v):
+        if not isinstance(v, list) or len(v) != n or not all(_is_json_int(x) for x in v):
             raise DimensionError("each vertex must be a list of ambient_dim integers")
     return LatticeSimplex(verts)

@@ -49,6 +49,30 @@ def test_delta_budget_exceeded(tmp_path, capsys):
     assert code == 4 and "status budget-exceeded" in out
 
 
+def test_delta_box_budget_refuses_huge_volume(tmp_path, capsys):
+    # conv(0, e_1, e_2, 10^12 e_3): the box group has 10^12 elements.
+    path = tmp_path / "huge.json"
+    dump_simplex(new_simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 10**12]]), str(path))
+    code = main(["delta", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4 and "status budget-exceeded" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_delta_box_budget_flag(section2_file, capsys):
+    code, out = run(capsys, "delta", section2_file, "--budget", "1")
+    assert code == 4 and "status budget-exceeded" in out
+    code, out = run(capsys, "delta", section2_file, "--budget", "2")
+    assert code == 0 and "delta 1 0 1 0" in out
+
+
+def test_delta_rejects_json_boolean(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"ambient_dim": 2, "vertices": [[0, 0], [true, 0], [0, 1]]}')
+    code, out = run(capsys, "delta", str(path))
+    assert code == 1 and "status invalid-input" in out
+
+
 def test_check_exit_codes(capsys):
     assert run(capsys, "check", "1", "0", "1", "0")[0] == 0
     code, out = run(capsys, "check", "1", "0", "1", "0", "0", "1", "0")

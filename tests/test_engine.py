@@ -2,6 +2,7 @@
 binomial transforms, reciprocity."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from ehrhart.engine import (
     DeltaVector,
 )
 from ehrhart.errors import BudgetExceededError, DegenerateSimplexError, InconsistentCountsError
-from ehrhart.intlinalg import solve_rational
+from ehrhart.intlinalg import smith_normal_form, solve_rational
 from ehrhart.realizer import construct_lemma_first, construct_section2
 from ehrhart.simplex import LatticeSimplex, new_simplex, unit_simplex
 
@@ -88,7 +89,101 @@ def test_box_points_lemma31_degrees():
 def test_box_points_match_oracle_on_random_simplices(verts):
     s = random_simplex(verts)
     assume(s is not None)
+    pts = box_points(s)
+    assert sorted((p.point, p.degree) for p in pts) == brute_force_box_points(s)
+    assert pts == sorted(pts, key=lambda p: (p.degree, p.point))
+    m = s.lifted_matrix()
+    for p in pts:
+        assert all(0 <= r < 1 for r in p.coefficients)
+        assert tuple(sum(r * m[i, j] for i, r in enumerate(p.coefficients)) for j in range(m.cols)) == p.point
+
+
+def hnf_cyclic_simplex(b, volume):
+    """conv(0, e_1, ..., e_(d-1), (b, volume)) in Z^d, d = len(b) + 1."""
+    d = len(b) + 1
+    verts = [[0] * d]
+    for i in range(d - 1):
+        verts.append([1 if j == i else 0 for j in range(d)])
+    verts.append(list(b) + [volume])
+    return LatticeSimplex(verts)
+
+
+def hnf_cyclic_delta(b, volume):
+    """Closed form: the k-th box point has weights frac(-k b_i / V) on e_i,
+    k / V on the last vertex, and whatever completes an integer sum on 0."""
+    entries = [0] * (len(b) + 2)
+    for k in range(volume):
+        numerator = sum(-k * bi % volume for bi in b) + k
+        entries[-(-numerator // volume)] += 1
+    return tuple(entries)
+
+
+HNF_CASES = [
+    (d, volume, seed)
+    for d in range(2, 7)
+    for volume, seed in ((7, 1), (60, 2), (211, 3), (500, 4))
+]
+
+
+@pytest.mark.parametrize("d,volume,seed", HNF_CASES)
+def test_delta_from_box_matches_hnf_closed_form(d, volume, seed):
+    rng = random.Random(f"hnf/{d}/{volume}/{seed}")
+    b = [rng.randrange(volume) for _ in range(d - 1)]
+    s = hnf_cyclic_simplex(b, volume)
+    expected = hnf_cyclic_delta(b, volume)
+    assert sum(expected) == volume
+    assert delta_from_box(s).entries == expected
+    assert Counter(p.degree for p in box_points(s)) == Counter(
+        {i: e for i, e in enumerate(expected) if e}
+    )
+
+
+def join(p_verts, q_verts):
+    """conv(P x {0} x {0}, {0} x Q x {1}): the free join of two simplices."""
+    a, b = len(p_verts[0]), len(q_verts[0])
+    return LatticeSimplex(
+        [list(v) + [0] * b + [0] for v in p_verts] + [[0] * a + list(w) + [1] for w in q_verts]
+    )
+
+
+def poly_mul(x, y):
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, c in enumerate(y):
+            out[i + j] += a * c
+    return out
+
+
+@pytest.mark.parametrize(
+    "p_verts,q_verts",
+    [
+        ([[0], [2]], [[0], [2]]),
+        ([[0], [2]], [[0], [4]]),
+        ([[0], [3]], [[0], [3]]),
+        ([[0, 0], [2, 1], [1, 2]], [[0], [6]]),
+    ],
+    ids=["Z2xZ2", "Z2xZ4", "Z3xZ3", "Z3xZ6"],
+)
+def test_delta_from_box_of_join_with_two_invariant_factors(p_verts, q_verts):
+    s = join(p_verts, q_verts)
+    factors = [x for x in smith_normal_form(s.lifted_matrix()).diag if x > 1]
+    assert len(factors) == 2
+    delta_p = delta_from_box(LatticeSimplex(p_verts)).entries
+    delta_q = delta_from_box(LatticeSimplex(q_verts)).entries
+    expected = tuple(poly_mul(delta_p, delta_q)) + (0,)
+    assert delta_from_box(s).entries == expected
     assert sorted((p.point, p.degree) for p in box_points(s)) == brute_force_box_points(s)
+
+
+def test_box_route_budget_is_enforced():
+    s = hnf_cyclic_simplex([0, 0], 10**12)
+    with pytest.raises(BudgetExceededError) as info:
+        delta_from_box(s)
+    assert info.value.needed == 10**12
+    with pytest.raises(BudgetExceededError):
+        box_points(section2_d3(), budget=1)
+    assert len(box_points(section2_d3(), budget=2)) == 2
+    assert delta_from_box(section2_d3(), budget=2).entries == (1, 0, 1, 0)
 
 
 def test_delta_from_box_unit_simplex():

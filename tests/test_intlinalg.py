@@ -11,7 +11,6 @@ from ehrhart.errors import DimensionError, SingularMatrixError
 from ehrhart.intlinalg import (
     IntegerMatrix,
     determinant,
-    inverse_unimodular,
     smith_normal_form,
     solve_rational,
 )
@@ -157,12 +156,3 @@ def test_solve_round_trip(rows, xs):
     b = [sum(m[i, j] * x[j] for j in range(m.cols)) for i in range(m.rows)]
     assert solve_rational(m, b) == tuple(x)
 
-
-def test_inverse_unimodular_round_trip():
-    u = IntegerMatrix([[1, 2], [1, 3]])
-    assert u @ inverse_unimodular(u) == IntegerMatrix.identity(2)
-
-
-def test_inverse_unimodular_rejects_non_unimodular():
-    with pytest.raises(SingularMatrixError):
-        inverse_unimodular(IntegerMatrix([[2, 0], [0, 1]]))

@@ -7,6 +7,7 @@ from ehrhart.engine import delta_from_box
 from ehrhart.errors import NotRealizableError, OutOfScopeError, ParameterError
 from ehrhart.intlinalg import determinant
 from ehrhart.realizer import (
+    _lift,
     construct_lemma_first,
     construct_lemma_second,
     construct_section2,
@@ -15,6 +16,7 @@ from ehrhart.realizer import (
     construct_triangle_111,
     realize,
 )
+from ehrhart.simplex import unit_simplex
 
 
 @pytest.mark.parametrize(
@@ -143,3 +145,26 @@ def test_realize_round_trip_all_yes_candidates(d):
         # segment base, which is conv{0,3} on the line.
         allowed = (0, 1, 2, 3) if plan.family == "segment" else (0, 1, 2)
         assert all(c in allowed for v in s.vertices for c in v)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        unit_simplex(3),
+        construct_segment(2),
+        construct_section2(3),
+        construct_section3_two(3),
+        construct_triangle_111(),
+        construct_lemma_first(1),
+        construct_lemma_second(1, 1),
+    ],
+    ids=["unit", "segment", "section2", "section3_two", "triangle_111", "lemma_first", "lemma_second"],
+)
+@pytest.mark.parametrize("times", [0, 1, 5])
+def test_lift_equals_iterated_pyramid(base, times):
+    s = base
+    for _ in range(times):
+        s = s.pyramid()
+    lifted = _lift(base, times)
+    assert lifted == s
+    assert (lifted.dim, lifted.ambient_dim) == (s.dim, s.ambient_dim)

@@ -123,3 +123,19 @@ def test_load_rejects_collinear(tmp_path):
     path.write_text('{"ambient_dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}')
     with pytest.raises(DegenerateSimplexError):
         load_simplex(str(path))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"ambient_dim": true, "vertices": [[0], [1]]}',
+        '{"ambient_dim": 2, "vertices": [[0, 0], [true, 0], [0, 1]]}',
+        '{"ambient_dim": 1, "vertices": [[false], [2]]}',
+    ],
+    ids=["ambient_dim", "coordinate-true", "coordinate-false"],
+)
+def test_load_rejects_json_booleans(tmp_path, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(doc)
+    with pytest.raises(DimensionError):
+        load_simplex(str(path))
