@@ -7,6 +7,7 @@ generating-function relation.  They must agree.
 """
 
 from ehrhart import (
+    LatticeSimplex,
     box_points,
     count_points,
     delta_from_box,
@@ -14,11 +15,10 @@ from ehrhart import (
     ehrhart_coefficients,
     evaluate_ehrhart,
     evaluate_interior,
-    new_simplex,
 )
 
 # A 3-simplex of normalized volume 2: the classic volume-2 construction.
-simplex = new_simplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]])
+simplex = LatticeSimplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]])
 d = simplex.dim
 
 print("vertices:", [list(v) for v in simplex.vertices])

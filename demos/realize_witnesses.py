@@ -1,16 +1,17 @@
 """Construct explicit witness simplices for realizable candidates.
 
-Every YES candidate is realized by one of the explicit vertex families,
-pyramid-lifted up to the target dimension, and the delta-vector is recomputed
-from the witness as an independent check.
+With coordinate sum V <= 3 the box group of a witness is trivial or cyclic
+of prime order, so every YES candidate is realized by one Hermite normal form
+simplex conv(0, e_1, ..., e_(d-1), (b, V)) read off that group.  The
+delta-vector is recomputed from the witness as an independent check.
 """
 
 from ehrhart import Verdict, delta_from_box, enumerate_candidates, realize
 
 candidates = [
-    (1, 0, 1, 0),                      # volume-2 family
-    (1, 0, 2, 0, 0),                   # volume-3 variant, lifted once
-    (1, 1, 1, 0, 0, 0),                # triangle base, lifted
+    (1, 0, 1, 0),                      # volume 2: Z/2
+    (1, 0, 2, 0, 0),                   # volume 3, one entry equal to 2
+    (1, 1, 1, 0, 0, 0),                # volume 3, ones at 1 and 2
     (1, 0, 1, 0, 1, 0),                # evenly spaced ones
     (1, 0, 0, 1, 0, 1, 0, 0, 0, 0),    # two-ones candidate in dimension 9
 ]

@@ -34,7 +34,7 @@ from .realizer import (
     construct_triangle_111,
     realize,
 )
-from .simplex import LatticeSimplex, dump_simplex, load_simplex, new_simplex, unit_simplex
+from .simplex import LatticeSimplex, dump_simplex, load_simplex, unit_simplex
 
 __all__ = [
     "BoxPoint",
@@ -69,7 +69,6 @@ __all__ = [
     "interior_box_degrees",
     "is_realizable",
     "load_simplex",
-    "new_simplex",
     "realize",
     "smith_normal_form",
     "solve_rational",

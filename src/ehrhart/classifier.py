@@ -58,11 +58,8 @@ def check_basic(entries: Sequence[int]) -> CheckResult:
     dd = entries[d] if d >= 1 else 0
     if d >= 1 and d1 < dd:
         return CheckResult(False, d, f"delta_1 = {d1} < delta_d = {dd}")
-    if dd != 0:
-        for i in range(1, d):
-            if d1 > entries[i]:
-                return CheckResult(False, i, f"delta_1 = {d1} > delta_{i} = {entries[i]} with delta_d != 0")
-    return CheckResult(True)
+    lower = check_lower_bound(entries)
+    return lower if not lower.ok else CheckResult(True)
 
 
 def check_stanley(entries: Sequence[int]) -> CheckResult:
@@ -91,13 +88,14 @@ def check_hibi(entries: Sequence[int]) -> CheckResult:
 
 
 def check_lower_bound(entries: Sequence[int]) -> CheckResult:
-    """Diagnostic: delta_1 <= delta_i for 1 <= i < d whenever delta_d != 0."""
+    """delta_1 <= delta_i for 1 <= i < d whenever delta_d != 0; reported on
+    its own and as the last step of ``check_basic``."""
     d = len(entries) - 1
     if d < 1 or entries[d] == 0:
         return CheckResult(True, reason="vacuous (delta_d = 0)")
     for i in range(1, d):
         if entries[1] > entries[i]:
-            return CheckResult(False, i, f"delta_1 = {entries[1]} > delta_{i} = {entries[i]}")
+            return CheckResult(False, i, f"delta_1 = {entries[1]} > delta_{i} = {entries[i]} with delta_d != 0")
     return CheckResult(True)
 
 

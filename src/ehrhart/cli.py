@@ -112,7 +112,7 @@ def _check_payload(entries: tuple[int, ...]) -> tuple[dict, int]:
 def cmd_delta(args) -> tuple[dict, int]:
     try:
         simplex = load_simplex(args.polytope)
-    except (OSError, json.JSONDecodeError, DimensionError, DegenerateSimplexError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, DimensionError, DegenerateSimplexError) as exc:
         raise CommandFailure(EXIT_INVALID_INPUT, f"cannot read polytope file: {exc}")
     d = simplex.dim
     deltas = {}

@@ -91,10 +91,6 @@ class SnfDecomposition:
     diag: tuple[int, ...]
     right: IntegerMatrix
 
-    def diagonal_matrix(self) -> IntegerMatrix:
-        n = len(self.diag)
-        return IntegerMatrix([[self.diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
 
 def determinant(m: IntegerMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.

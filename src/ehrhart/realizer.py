@@ -1,30 +1,35 @@
-"""Witness constructions for every realizable candidate with sum <= 3.
+"""Witnesses for every realizable candidate with sum <= 3, and the paper's
+explicit vertex families.
 
-Four explicit vertex families cover the base cases; pyramid lifting pads a
-trailing zero per application, so ``realize`` dispatches to the right family
-and lifts up to the requested dimension.  Every construction here is meant to
-be re-verified by the engine; nothing relies on the formulas being right.
+``realize`` builds one Hermite-normal-form simplex conv(0, e_1, ..., e_(d-1),
+(b, V)) straight from the candidate's cyclic box group.  The families
+(volume-2 chain, its volume-3 variant, segments, the one-interior-point
+triangle and the two lemma families) are the paper's constructions, kept as
+tested artifacts.  Every witness is meant to be re-verified by the engine;
+nothing relies on the formulas being right.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classifier import Decision, Verdict, is_realizable
+from .classifier import Verdict, is_realizable
 from .engine import delta_from_box
 from .errors import InternalInconsistencyError, NotRealizableError, OutOfScopeError, ParameterError
-from .simplex import LatticeSimplex, unit_simplex
+from .simplex import LatticeSimplex
 
 
 @dataclass(frozen=True)
 class ConstructionPlan:
+    """How a witness was built: a family name and its parameters.  ``lifts``
+    counts pyramid steps; the cyclic witness that ``realize`` builds has none."""
+
     family: str
     parameters: dict = field(default_factory=dict)
     lifts: int = 0
 
     def describe(self) -> str:
         params = ", ".join(f"{k}={v}" for k, v in self.parameters.items())
-        base = f"{self.family}({params})" if params else self.family
-        return f"{base} lifted {self.lifts}x" if self.lifts else base
+        return f"{self.family}({params})" if params else self.family
 
 
 def _unit(i: int, d: int) -> list[int]:
@@ -33,39 +38,30 @@ def _unit(i: int, d: int) -> list[int]:
     return e
 
 
-def construct_section2(d: int) -> LatticeSimplex:
-    """Volume-2 simplex in odd dimension d: delta has its single extra 1 at
-    position (d+1)/2."""
+def _chain(d: int, corner: int) -> LatticeSimplex:
+    """conv(0, e_1 + e_2, ..., e_(d-1) + e_d, corner * e_1 + e_d) for odd d."""
     if d < 3 or d % 2 == 0:
         raise ParameterError(f"needs odd d >= 3, got {d}")
     verts = [[0] * d]
     for i in range(1, d):
-        v = [0] * d
-        v[i - 1] = 1
+        v = _unit(i, d)
         v[i] = 1
         verts.append(v)
-    last = [0] * d
-    last[0] = 1
-    last[d - 1] = 1
+    last = _unit(d, d)
+    last[0] = corner
     verts.append(last)
     return LatticeSimplex(verts)
+
+
+def construct_section2(d: int) -> LatticeSimplex:
+    """Volume-2 simplex in odd dimension d: delta has its single extra 1 at
+    position (d+1)/2."""
+    return _chain(d, 1)
 
 
 def construct_section3_two(d: int) -> LatticeSimplex:
     """Volume-3 variant of the section-2 family: delta_{(d+1)/2} = 2."""
-    if d < 3 or d % 2 == 0:
-        raise ParameterError(f"needs odd d >= 3, got {d}")
-    verts = [[0] * d]
-    for i in range(1, d):
-        v = [0] * d
-        v[i - 1] = 1
-        v[i] = 1
-        verts.append(v)
-    last = [0] * d
-    last[0] = 2
-    last[d - 1] = 1
-    verts.append(last)
-    return LatticeSimplex(verts)
+    return _chain(d, 2)
 
 
 def construct_segment(volume: int) -> LatticeSimplex:
@@ -169,28 +165,19 @@ def construct_lemma_second(k: int, ell: int) -> LatticeSimplex:
         if i < d:
             v[i : d] = [1, 0] * (ell - j)
         verts.append(v)
-    # Interleave back into vertex order v_0, v_1, ..., v_d
-    ordered = verts[: 3 * k + 3]
-    extra = verts[3 * k + 3 :]
-    return LatticeSimplex(ordered + extra)
-
-
-def _lift(s: LatticeSimplex, times: int) -> LatticeSimplex:
-    """``times`` iterated pyramids in one construction: pad every vertex with
-    ``times`` zeros and append the apexes e_(N+1), ..., e_(N+times)."""
-    if times == 0:
-        return s
-    n = s.ambient_dim
-    verts = [v + (0,) * times for v in s.vertices]
-    for t in range(times):
-        apex = [0] * (n + times)
-        apex[n + t] = 1
-        verts.append(apex)
     return LatticeSimplex(verts)
 
 
 def realize(entries, verify: bool = True) -> tuple[LatticeSimplex, ConstructionPlan]:
     """Build a full-dimensional witness simplex for a YES candidate.
+
+    With sum <= 3 the normalized volume V = sum(entries) is 1, 2 or 3, so the
+    box group is trivial or cyclic of prime order, generated by a / V for some
+    a in {0..V-1}^(d+1) with sum(a) = 0 mod V.  The degrees of its nonzero
+    elements are the positions of the extra entries, which fixes how many
+    entries of a equal 1 (n1) and 2 (n2).  The witness is the Hermite normal
+    form simplex conv(0, e_1, ..., e_(d-1), (b, V)) whose box group is
+    generated by a / V: b_i = -a_i * a_d^-1 mod V.
 
     With verify=True (default) the delta-vector is recomputed from the witness
     and must match the candidate exactly.
@@ -203,48 +190,24 @@ def realize(entries, verify: bool = True) -> tuple[LatticeSimplex, ConstructionP
         raise NotRealizableError(decision.reason)
 
     d = len(entries) - 1
-    total = sum(entries)
-    support = [i for i in range(1, d + 1) if entries[i] != 0]
-
-    if total == 1:
-        base = unit_simplex(d)
-        plan = ConstructionPlan("unit", {"dim": d}, 0)
-    elif total == 2:
-        (i,) = support
-        if i == 1:
-            base = construct_segment(2)
-            plan = ConstructionPlan("segment", {"volume": 2}, d - 1)
-        else:
-            base = construct_section2(2 * i - 1)
-            plan = ConstructionPlan("section2", {"d": 2 * i - 1}, d - (2 * i - 1))
-    elif len(support) == 1:
-        # total == 3 with a single entry equal to 2
-        (i,) = support
-        if i == 1:
-            base = construct_segment(3)
-            plan = ConstructionPlan("segment", {"volume": 3}, d - 1)
-        else:
-            base = construct_section3_two(2 * i - 1)
-            plan = ConstructionPlan("section3_two", {"d": 2 * i - 1}, d - (2 * i - 1))
+    volume = sum(entries)
+    positions = [i for i in range(1, d + 1) for _ in range(entries[i])]
+    if volume == 1:
+        n1, n2 = 0, 0
+    elif volume == 2:
+        (i,) = positions
+        n1, n2 = 2 * i, 0
     else:
-        m, n = support
-        if m == 1:
-            # Stanley forces delta_2 = 1 here, so (1,1,1,0,...) is the only shape.
-            base = construct_triangle_111()
-            plan = ConstructionPlan("triangle_111", {}, d - 2)
-        else:
-            p, q = m - 1, n - m - 1
-            if p == q:
-                base = construct_lemma_first(q)
-                plan = ConstructionPlan("lemma_first", {"k": q}, d - (3 * q + 2))
-            else:
-                ell = p - q
-                base = construct_lemma_second(q, ell)
-                plan = ConstructionPlan("lemma_second", {"k": q, "ell": ell}, d - (3 * q + 2 + 2 * ell))
-
-    if plan.lifts < 0:
-        raise InternalInconsistencyError(f"base dimension exceeds target for {entries}")
-    simplex = _lift(base, plan.lifts)
+        i, j = positions
+        # Degrees (n1 + 2 n2) / 3 = i and (2 n1 + n2) / 3 = j.
+        n1, n2 = 2 * j - i, 2 * i - j
+    if n2 < 0 or n1 + n2 > d + 1:
+        raise InternalInconsistencyError(f"no cyclic box group of order {volume} has delta {entries}")
+    # For V > 1, n1 >= 1, so a ends in a_d = 1 and b_i = -a_i mod V.
+    a = [0] * (d + 1 - n1 - n2) + [2] * n2 + [1] * n1
+    b = [-x % volume for x in a[1:d]]
+    simplex = LatticeSimplex([[0] * d] + [_unit(k, d) for k in range(1, d)] + [b + [volume]])
+    plan = ConstructionPlan("cyclic", {"volume": volume, "b": b})
     if verify:
         recomputed = delta_from_box(simplex)
         if tuple(recomputed.entries) != entries:

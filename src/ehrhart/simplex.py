@@ -119,11 +119,6 @@ class LatticeSimplex:
         return f"LatticeSimplex({[list(v) for v in self.vertices]!r})"
 
 
-def new_simplex(vertices: Sequence[Sequence[int]]) -> LatticeSimplex:
-    """Validated constructor; raises DegenerateSimplexError on dependence."""
-    return LatticeSimplex(vertices)
-
-
 def unit_simplex(d: int) -> LatticeSimplex:
     """conv{0, e_1, ..., e_d} in Z^d."""
     verts = [[0] * d]

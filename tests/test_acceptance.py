@@ -27,7 +27,7 @@ from ehrhart.realizer import (
     construct_triangle_111,
     realize,
 )
-from ehrhart.simplex import new_simplex, unit_simplex
+from ehrhart.simplex import LatticeSimplex, unit_simplex
 
 
 def report(criterion: str, ok: bool):
@@ -134,15 +134,15 @@ def corpus():
         unit_simplex(3),
         unit_simplex(4),
         unit_simplex(5),
-        new_simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]]),  # Reeve-type
-        new_simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 3]]),
-        new_simplex([[0], [2]]).pyramid().pyramid(),
+        LatticeSimplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 2]]),  # Reeve-type
+        LatticeSimplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 3]]),
+        LatticeSimplex([[0], [2]]).pyramid().pyramid(),
         construct_triangle_111().pyramid(),
-        new_simplex([[0, 0], [3, 1], [1, 3]]),
-        new_simplex([[0, 0], [2, 0], [0, 2]]),
-        new_simplex([[0, 0, 0], [2, 1, 0], [1, 2, 0], [0, 0, 2]]),
-        new_simplex([[0, 0], [1, 0], [0, 3]]),
-        new_simplex([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 2]]),
+        LatticeSimplex([[0, 0], [3, 1], [1, 3]]),
+        LatticeSimplex([[0, 0], [2, 0], [0, 2]]),
+        LatticeSimplex([[0, 0, 0], [2, 1, 0], [1, 2, 0], [0, 0, 2]]),
+        LatticeSimplex([[0, 0], [1, 0], [0, 3]]),
+        LatticeSimplex([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 2]]),
     ]
     assert len(simplices) >= 20
     return simplices

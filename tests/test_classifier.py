@@ -133,3 +133,34 @@ def test_trailing_zero_preserves_yes(d):
     for cand, dec in enumerate_candidates(d, 3):
         if dec.verdict is Verdict.YES:
             assert is_realizable(cand + (0,)).verdict is Verdict.YES
+
+
+def box_group_deltas(d):
+    """Every delta of a d-simplex whose box group has order V <= 3.
+
+    V = 1 gives the unit delta.  Otherwise the group is cyclic of prime order,
+    generated by a / V with a in {0..V-1}^(d+1) and sum(a) = 0 mod V; its
+    element k a / V has degree sum(k a_i mod V) / V.  For V = 2 with h entries
+    equal to 1 that is h / 2; for V = 3 with n1 ones and n2 twos it is
+    (n1 + 2 n2) / 3 for k = 1 and (2 n1 + n2) / 3 for k = 2.
+    """
+
+    def extra_ones(*degrees):
+        delta = [1] + [0] * d
+        for i in degrees:
+            delta[i] += 1
+        return tuple(delta)
+
+    deltas = {extra_ones()}
+    deltas.update(extra_ones(h // 2) for h in range(2, d + 2, 2))
+    for n1 in range(d + 2):
+        for n2 in range(d + 2 - n1):
+            if n1 + n2 > 0 and (n1 + 2 * n2) % 3 == 0:
+                deltas.add(extra_ones((n1 + 2 * n2) // 3, (2 * n1 + n2) // 3))
+    return deltas
+
+
+def test_yes_set_equals_box_group_deltas():
+    for d in range(3, 41):
+        yes = {c for c, dec in enumerate_candidates(d, 3) if dec.verdict is Verdict.YES}
+        assert yes == box_group_deltas(d), f"d = {d}"

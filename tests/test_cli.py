@@ -5,13 +5,13 @@ import json
 import pytest
 
 from ehrhart.cli import main
-from ehrhart.simplex import dump_simplex, load_simplex, new_simplex
+from ehrhart.simplex import LatticeSimplex, dump_simplex, load_simplex
 
 
 @pytest.fixture
 def section2_file(tmp_path):
     path = tmp_path / "s2.json"
-    dump_simplex(new_simplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]]), str(path))
+    dump_simplex(LatticeSimplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]]), str(path))
     return str(path)
 
 
@@ -30,7 +30,7 @@ def test_delta_section2(section2_file, capsys):
 
 def test_delta_unit_simplex(tmp_path, capsys):
     path = tmp_path / "unit.json"
-    dump_simplex(new_simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), str(path))
+    dump_simplex(LatticeSimplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), str(path))
     code, out = run(capsys, "delta", str(path))
     assert code == 0 and "delta 1 0 0 0" in out
 
@@ -44,7 +44,7 @@ def test_delta_invalid_file(tmp_path, capsys):
 
 def test_delta_budget_exceeded(tmp_path, capsys):
     path = tmp_path / "big.json"
-    dump_simplex(new_simplex([[0, 0, 0], [99, 0, 0], [0, 99, 0], [0, 0, 99]]), str(path))
+    dump_simplex(LatticeSimplex([[0, 0, 0], [99, 0, 0], [0, 99, 0], [0, 0, 99]]), str(path))
     code, out = run(capsys, "delta", str(path), "--method", "counts", "--budget", "1000")
     assert code == 4 and "status budget-exceeded" in out
 
@@ -52,7 +52,7 @@ def test_delta_budget_exceeded(tmp_path, capsys):
 def test_delta_box_budget_refuses_huge_volume(tmp_path, capsys):
     # conv(0, e_1, e_2, 10^12 e_3): the box group has 10^12 elements.
     path = tmp_path / "huge.json"
-    dump_simplex(new_simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 10**12]]), str(path))
+    dump_simplex(LatticeSimplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 10**12]]), str(path))
     code = main(["delta", str(path)])
     captured = capsys.readouterr()
     assert code == 4 and "status budget-exceeded" in captured.out
@@ -71,6 +71,23 @@ def test_delta_rejects_json_boolean(tmp_path, capsys):
     path.write_text('{"ambient_dim": 2, "vertices": [[0, 0], [true, 0], [0, 1]]}')
     code, out = run(capsys, "delta", str(path))
     assert code == 1 and "status invalid-input" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"ambient_dim": 1, "vertices": [[0], [1]], "plan": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["top-level", "ignored-field"],
+)
+def test_delta_rejects_deeply_nested_json(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code = main(["delta", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and "status invalid-input" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_check_exit_codes(capsys):

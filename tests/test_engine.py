@@ -24,7 +24,7 @@ from ehrhart.engine import (
 from ehrhart.errors import BudgetExceededError, DegenerateSimplexError, InconsistentCountsError
 from ehrhart.intlinalg import smith_normal_form, solve_rational
 from ehrhart.realizer import construct_lemma_first, construct_section2
-from ehrhart.simplex import LatticeSimplex, new_simplex, unit_simplex
+from ehrhart.simplex import LatticeSimplex, unit_simplex
 
 
 def brute_force_box_points(s):
@@ -44,7 +44,7 @@ def brute_force_box_points(s):
 
 
 def section2_d3():
-    return new_simplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    return LatticeSimplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
 
 def random_simplex(draw_verts):
@@ -222,7 +222,7 @@ def test_delta_from_counts_section2():
 
 
 def test_delta_from_counts_reeve_type():
-    s = new_simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 3]])
+    s = LatticeSimplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 3]])
     counts = [count_points(s, n) for n in (1, 2, 3)]
     assert counts == [4, 12, 28]
     assert delta_from_counts(counts, 3).entries == (1, 0, 2, 0)
@@ -251,7 +251,7 @@ def test_evaluate_interior():
 
 
 def test_interior_of_triangle_by_counting():
-    s = new_simplex([[0, 0], [2, 1], [1, 2]])
+    s = LatticeSimplex([[0, 0], [2, 1], [1, 2]])
     assert count_points(s, 1, strict=True) == 1
 
 

@@ -107,7 +107,8 @@ def test_snf_lifted_section2_matrix():
 def check_snf(m):
     snf = smith_normal_form(m)
     product = snf.left @ m @ snf.right
-    assert product == snf.diagonal_matrix()
+    n = len(snf.diag)
+    assert product == IntegerMatrix([[snf.diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
     assert abs(determinant(snf.left)) == 1
     assert abs(determinant(snf.right)) == 1
     nonzero = [x for x in snf.diag if x != 0]

@@ -1,13 +1,13 @@
-"""Construction families and the realize dispatch, verified by recomputation."""
+"""Construction families and the cyclic realize witness, verified by recomputation."""
 
 import pytest
 
-from ehrhart.classifier import Verdict, enumerate_candidates
+from ehrhart import realizer
+from ehrhart.classifier import Decision, Verdict, enumerate_candidates
 from ehrhart.engine import delta_from_box
-from ehrhart.errors import NotRealizableError, OutOfScopeError, ParameterError
+from ehrhart.errors import InternalInconsistencyError, NotRealizableError, OutOfScopeError, ParameterError
 from ehrhart.intlinalg import determinant
 from ehrhart.realizer import (
-    _lift,
     construct_lemma_first,
     construct_lemma_second,
     construct_section2,
@@ -103,22 +103,35 @@ def test_lemma_second_rejects_ell0():
         construct_lemma_second(1, 0)
 
 
+def hnf_vertices(b, volume):
+    """Vertices 0, e_1, ..., e_(d-1), (b, volume) of a Hermite normal form simplex."""
+    d = len(b) + 1
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d - 1)]
+    return [(0,) * d] + units + [(*b, volume)]
+
+
 def test_realize_section2_lifted():
+    # The dimension-3 section-2 delta padded to dimension 5: a = (0,0,1,1,1,1).
     s, plan = realize((1, 0, 1, 0, 0, 0))
-    assert plan.family == "section2" and plan.lifts == 2
-    assert s.dim == 5
+    assert (plan.family, plan.parameters, plan.lifts) == ("cyclic", {"volume": 2, "b": [0, 1, 1, 1]}, 0)
+    assert plan.describe() == "cyclic(volume=2, b=[0, 1, 1, 1])"
+    assert list(s.vertices) == hnf_vertices([0, 1, 1, 1], 2)
 
 
 def test_realize_two_ones_candidate():
+    # Ones at 3 and 5: (n1, n2) = (7, 1), a = (0,0,2,1,1,1,1,1,1,1).
     s, plan = realize((1, 0, 0, 1, 0, 1, 0, 0, 0, 0))
-    assert plan.family == "lemma_second"
-    assert plan.parameters == {"k": 1, "ell": 1}
+    b = [0, 1, 2, 2, 2, 2, 2, 2]
+    assert (plan.family, plan.parameters, plan.lifts) == ("cyclic", {"volume": 3, "b": b}, 0)
+    assert list(s.vertices) == hnf_vertices(b, 3)
     assert s.dim == 9
 
 
 def test_realize_segment_volume3():
+    # delta_1 = 2: (n1, n2) = (1, 1), a = (0,0,2,1).
     s, plan = realize((1, 2, 0, 0))
-    assert plan.family == "segment"
+    assert (plan.family, plan.parameters, plan.lifts) == ("cyclic", {"volume": 3, "b": [0, 1]}, 0)
+    assert list(s.vertices) == hnf_vertices([0, 1], 3)
     assert delta_from_box(s).entries == (1, 2, 0, 0)
 
 
@@ -132,19 +145,28 @@ def test_realize_rejects_out_of_scope():
         realize((1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("cand", [(1, 1, 0, 1), (1, 0, 0, 0, 0, 0, 0, 1)], ids=["n2<0", "n1+n2>d+1"])
+def test_realize_refuses_yes_outside_the_box_groups(monkeypatch, cand):
+    # A YES verdict with no cyclic box group behind it is a classifier fault.
+    monkeypatch.setattr(realizer, "is_realizable", lambda entries: Decision(Verdict.YES, "forced"))
+    with pytest.raises(InternalInconsistencyError):
+        realize(cand)
+
+
 @pytest.mark.parametrize("d", range(3, 9))
 def test_realize_round_trip_all_yes_candidates(d):
     for cand, dec in enumerate_candidates(d, 3):
         if dec.verdict is not Verdict.YES:
             continue
         s, plan = realize(cand)
+        volume = sum(cand)
+        b = plan.parameters["b"]
+        assert plan.parameters["volume"] == volume and plan.lifts == 0
+        assert all(0 <= x < volume for x in b)
+        assert list(s.vertices) == hnf_vertices(b, volume)
         assert s.dim == d and s.ambient_dim == d
         assert delta_from_box(s).entries == cand
-        assert abs(determinant(s.lifted_matrix())) == sum(cand)
-        # Coordinates stay in {0,1,2} for every family except the volume-3
-        # segment base, which is conv{0,3} on the line.
-        allowed = (0, 1, 2, 3) if plan.family == "segment" else (0, 1, 2)
-        assert all(c in allowed for v in s.vertices for c in v)
+        assert abs(determinant(s.lifted_matrix())) == volume
 
 
 @pytest.mark.parametrize(
@@ -162,9 +184,12 @@ def test_realize_round_trip_all_yes_candidates(d):
 )
 @pytest.mark.parametrize("times", [0, 1, 5])
 def test_lift_equals_iterated_pyramid(base, times):
+    # ``times`` pyramids pad every vertex with zeros and append the apexes
+    # e_(N+1), ..., e_(N+times), and pad delta with zeros.
     s = base
     for _ in range(times):
         s = s.pyramid()
-    lifted = _lift(base, times)
-    assert lifted == s
-    assert (lifted.dim, lifted.ambient_dim) == (s.dim, s.ambient_dim)
+    n = base.ambient_dim
+    apexes = [tuple(int(k == n + t) for k in range(n + times)) for t in range(times)]
+    assert list(s.vertices) == [v + (0,) * times for v in base.vertices] + apexes
+    assert delta_from_box(s).entries == delta_from_box(base).entries + (0,) * times

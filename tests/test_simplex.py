@@ -8,21 +8,21 @@ from ehrhart.engine import delta_from_box
 from ehrhart.errors import DegenerateSimplexError, DimensionError
 from ehrhart.intlinalg import determinant
 from ehrhart.realizer import construct_lemma_second, construct_section2
-from ehrhart.simplex import dump_simplex, load_simplex, new_simplex, unit_simplex
+from ehrhart.simplex import LatticeSimplex, dump_simplex, load_simplex, unit_simplex
 
 
 def section2_d3():
-    return new_simplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    return LatticeSimplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
 
 def test_new_simplex_unit_triangle():
-    s = new_simplex([[0, 0], [1, 0], [0, 1]])
+    s = LatticeSimplex([[0, 0], [1, 0], [0, 1]])
     assert s.dim == 2 and s.ambient_dim == 2
 
 
 def test_new_simplex_collinear_reports_index():
     with pytest.raises(DegenerateSimplexError) as exc:
-        new_simplex([[0, 0], [1, 1], [2, 2]])
+        LatticeSimplex([[0, 0], [1, 1], [2, 2]])
     assert exc.value.index == 2
 
 
@@ -31,7 +31,7 @@ def test_new_simplex_section2_vertices():
 
 
 def test_contains_vertex_closed_but_not_strict():
-    s = new_simplex([[0, 0], [1, 0], [0, 1]])
+    s = LatticeSimplex([[0, 0], [1, 0], [0, 1]])
     assert s.contains((0, 0), 1, strict=False)
     assert not s.contains((0, 0), 1, strict=True)
 
@@ -54,17 +54,17 @@ def test_contains_every_vertex():
 
 
 def test_pyramid_over_unit_segment():
-    p = new_simplex([[0], [1]]).pyramid()
+    p = LatticeSimplex([[0], [1]]).pyramid()
     assert delta_from_box(p).entries == (1, 0, 0)
 
 
 def test_pyramid_over_volume2_segment():
-    p = new_simplex([[0], [2]]).pyramid()
+    p = LatticeSimplex([[0], [2]]).pyramid()
     assert delta_from_box(p).entries == (1, 1, 0)
 
 
 def test_pyramid_over_triangle_111():
-    p = new_simplex([[0, 0], [2, 1], [1, 2]]).pyramid()
+    p = LatticeSimplex([[0, 0], [2, 1], [1, 2]]).pyramid()
     assert delta_from_box(p).entries == (1, 1, 1, 0)
 
 
@@ -88,7 +88,7 @@ def test_lifted_matrix_lemma_second_first_step():
 
 
 def test_lifted_matrix_rejects_non_full_dimensional():
-    s = new_simplex([[0, 0], [1, 0]])
+    s = LatticeSimplex([[0, 0], [1, 0]])
     with pytest.raises(DimensionError):
         s.lifted_matrix()
 
@@ -104,7 +104,7 @@ def test_polytope_file_round_trip(tmp_path):
 
 def test_polytope_file_round_trips_big_integers(tmp_path):
     big = 2**80 + 7
-    s = new_simplex([[0], [big]])
+    s = LatticeSimplex([[0], [big]])
     path = tmp_path / "big.json"
     dump_simplex(s, str(path))
     assert load_simplex(str(path)).vertices[1][0] == big
