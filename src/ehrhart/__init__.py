@@ -21,7 +21,6 @@ from .engine import (
     ehrhart_coefficients,
     evaluate_ehrhart,
     evaluate_interior,
-    interior_box_degrees,
 )
 from .intlinalg import IntegerMatrix, SnfDecomposition, determinant, smith_normal_form, solve_rational
 from .realizer import (
@@ -66,7 +65,6 @@ __all__ = [
     "evaluate_ehrhart",
     "evaluate_interior",
     "inequality_report",
-    "interior_box_degrees",
     "is_realizable",
     "load_simplex",
     "realize",

@@ -7,13 +7,15 @@ Two independent routes are provided on purpose:
   off the left transform of the Smith normal form of the lifted vertex
   matrix with integer arithmetic only.  It scales with the normalized
   volume, not the dimension, so it handles the large-d constructed simplices.
-* ``count_points`` scans the bounding box of a dilate and tests membership
-  exactly; with ``delta_from_counts`` it forms the slow oracle used for
-  cross-checking at desk scale.
+* ``count_points`` counts the lattice points of a dilate without the Smith
+  normal form: one fraction-free elimination gives integer forms for the
+  barycentric weights, and the bounding box is scanned one line along the
+  last coordinate at a time, each line adding the length of one integer
+  interval.  With ``delta_from_counts`` it forms the independent oracle used
+  for cross-checking.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,20 +162,41 @@ def delta_from_box(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> DeltaVect
     return DeltaVector(tuple(entries))
 
 
-def interior_box_degrees(s: LatticeSimplex) -> list[int]:
-    """Degrees of the dual point set with coefficients in (0, 1].
+def _line_count(
+    bases: list[int], slopes: tuple[int, ...], lo: int, hi: int, n_weights: int, least: int
+) -> int:
+    """Integers x in [lo, hi] with base + slope * x >= least for the first
+    ``n_weights`` forms and == 0 for the rest."""
+    for i, (b, c) in enumerate(zip(bases, slopes)):
+        if i < n_weights:
+            if c > 0:
+                lo = max(lo, -((b - least) // c))
+            elif c < 0:
+                hi = min(hi, (b - least) // -c)
+            elif b < least:
+                return 0
+        elif c:
+            x, rest = divmod(-b, c)
+            if rest:
+                return 0
+            lo, hi = max(lo, x), min(hi, x)
+        elif b:
+            return 0
+        if lo > hi:
+            return 0
+    return hi - lo + 1
 
-    Each weight r maps to 1 - r, except zeros map to 1; the origin therefore
-    becomes the all-ones point of degree d + 1.
-    """
-    degrees = []
-    for bp in box_points(s):
-        comp = [Fraction(1) - r if r > 0 else Fraction(1) for r in bp.coefficients]
-        deg = sum(comp)
-        if deg.denominator != 1:
-            raise InternalInconsistencyError(f"dual weights {comp} do not sum to an integer")
-        degrees.append(int(deg))
-    return sorted(degrees)
+
+def _scan(
+    j: int, bases: list[int], slopes: list[tuple[int, ...]], lo: list[int], hi: list[int], n_weights: int, least: int
+) -> int:
+    """Points of the box lo..hi from coordinate j on, every form at base."""
+    if j == len(slopes) - 1:
+        return _line_count(bases, slopes[j], lo[j], hi[j], n_weights, least)
+    return sum(
+        _scan(j + 1, [b + c * x for b, c in zip(bases, slopes[j])], slopes, lo, hi, n_weights, least)
+        for x in range(lo[j], hi[j] + 1)
+    )
 
 
 def count_points(
@@ -181,7 +204,12 @@ def count_points(
 ) -> int:
     """|nP ∩ Z^N| by bounding-box scan; strict counts the interior dilate.
 
-    Refuses (rather than truncates) when the bounding box exceeds the budget.
+    A point p is in nP when every weight form of ``s.weight_forms()`` is
+    >= 0 at (p, n) (>= 1 for the interior) and every equality form is 0.  The
+    scan fixes all coordinates but the last; on that line each form is
+    base + slope * x, so the line contributes one integer interval.
+    Refuses (rather than truncates) when the bounding box holds more than
+    ``budget`` candidates.
     """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
@@ -192,11 +220,16 @@ def count_points(
         total *= b - a + 1
     if total > budget:
         raise BudgetExceededError(total, budget)
-    count = 0
-    for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if s.contains(p, n, strict=strict):
-            count += 1
-    return count
+    wf = s.weight_forms()
+    forms = wf.forms + wf.equalities
+    n_weights = len(wf.forms)
+    least = 1 if strict else 0
+    bases = [f[-1] * n for f in forms]
+    if s.ambient_dim == 0:
+        # The one point of Z^0 is a line of length 1 on which every form is constant.
+        return _line_count(bases, (0,) * len(forms), 0, 0, n_weights, least)
+    slopes = [tuple(f[j] for f in forms) for j in range(s.ambient_dim)]
+    return _scan(0, bases, slopes, lo, hi, n_weights, least)
 
 
 def delta_from_counts(counts: Sequence[int], d: int) -> DeltaVector:

@@ -1,9 +1,11 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``, so intermediate growth can never overflow.  The three
-workhorses are a fraction-free Bareiss determinant, a Smith normal form with
-both unimodular transforms, and an exact rational solver.
+``fractions.Fraction``, so intermediate growth can never overflow.  The
+workhorses are a fraction-free Bareiss determinant, a fraction-free
+Gauss-Jordan elimination (the column rank profile, and integer forms that
+read off exact solutions and membership in the column space), a Smith normal
+form with both unimodular transforms, and an exact rational solver.
 """
 from __future__ import annotations
 
@@ -121,6 +123,88 @@ def determinant(m: IntegerMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _gauss_jordan(a: list[Sequence[int]], k: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the rows ``a`` on their
+    first k columns, replacing the items of ``a`` (no row is mutated).
+
+    Each step replaces every other row by (p * row - f * pivot_row) / prev,
+    where p is the new pivot, f the row's entry in the pivot column and prev
+    the previous pivot.  By Sylvester's identity the division is exact and
+    every entry stays a minor of the input, so entries never grow beyond
+    them.  A column with no nonzero entry outside the pivot rows depends on
+    the columns before it and gets no pivot.  At the end every pivot row
+    reads ``last * e_c`` on the first k columns, ``last`` being the last
+    pivot, and every other row is zero there.  Returns (pivot columns, their
+    rows, last pivot).
+    """
+    free = list(range(len(a)))
+    pivots = []
+    pivot_rows = []
+    prev = 1
+    for c in range(k):
+        r = next((i for i in free if a[i][c] != 0), None)
+        if r is None:
+            continue
+        free.remove(r)
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i == r:
+                continue
+            f = row[c]
+            if f != 0:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in row]
+        prev = p
+        pivots.append(c)
+        pivot_rows.append(r)
+    return pivots, pivot_rows, prev
+
+
+def column_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The columns of the matrix with these rows that are independent of the
+    columns before them."""
+    width = len(rows[0]) if rows else 0
+    return tuple(_gauss_jordan(list(rows), width)[0])
+
+
+@dataclass(frozen=True)
+class ColumnForms:
+    """Integer forms for the column space of a matrix A with independent
+    columns: every x = A y has ``forms[i] . x = den * y[i]`` with den > 0,
+    and ``equalities[j] . x`` is zero for every j exactly when x lies in the
+    column space.
+    """
+
+    den: int
+    forms: tuple[tuple[int, ...], ...]
+    equalities: tuple[tuple[int, ...], ...]
+
+
+def column_forms(rows: Sequence[Sequence[int]]) -> ColumnForms:
+    """Forms of the matrix m with these rows, from one fraction-free
+    elimination of ``[m | I]``.
+
+    The elimination multiplies ``[m | I]`` on the left by an invertible T
+    with T m = (den * I; 0) up to the order of the rows, so the identity part
+    of the pivot rows gives the forms and that of the other rows the
+    equalities.  Raises SingularMatrixError when the columns are dependent.
+    """
+    size = len(rows)
+    width = len(rows[0]) if rows else 0
+    a = [list(r) + [int(i == j) for j in range(size)] for i, r in enumerate(rows)]
+    pivots, pivot_rows, last = _gauss_jordan(a, width)
+    if len(pivots) < width:
+        raise SingularMatrixError("columns are linearly dependent")
+    sign = -1 if last < 0 else 1
+    return ColumnForms(
+        den=sign * last,
+        forms=tuple(tuple(sign * x for x in a[r][width:]) for r in pivot_rows),
+        equalities=tuple(tuple(a[i][width:]) for i in range(size) if i not in pivot_rows),
+    )
 
 
 def solve_rational(m: IntegerMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:

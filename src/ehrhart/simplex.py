@@ -1,8 +1,10 @@
 """Integral lattice simplices: validation, membership, pyramid lifting, IO.
 
-A simplex is stored as its vertex list; membership in a dilate is decided by
-solving the barycentric system exactly over the rationals, so there is no
-H-representation anywhere.
+A simplex is stored as its vertex list.  One fraction-free elimination of the
+vertex columns (v_j, 1) gives integer linear forms whose values at (p, n) are
+the barycentric weights of p in the dilate nP times a common positive
+denominator, plus equalities that cut out the affine span; membership in a
+dilate is a sign test on integer dot products.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateSimplexError, DimensionError
-from .intlinalg import IntegerMatrix
+from .intlinalg import ColumnForms, IntegerMatrix, column_forms, column_pivots
 
 Point = tuple[int, ...]
 
@@ -34,66 +36,56 @@ class LatticeSimplex:
         self._check_affine_independence()
 
     def _check_affine_independence(self):
-        # Incremental rank over the difference vectors; the first vertex whose
-        # difference fails to extend the rank is reported.
-        basis: list[list[Fraction]] = []
-        v0 = self.vertices[0]
-        for idx, v in enumerate(self.vertices[1:], start=1):
-            vec = [Fraction(a - b) for a, b in zip(v, v0)]
-            for b in basis:
-                lead = next((j for j, x in enumerate(b) if x != 0), None)
-                if lead is not None and vec[lead] != 0:
-                    f = vec[lead] / b[lead]
-                    vec = [x - f * y for x, y in zip(vec, b)]
-            if all(x == 0 for x in vec):
-                raise DegenerateSimplexError(idx)
-            basis.append(vec)
+        # Pivot columns come in ascending order, so the first position i with
+        # no pivot i is the first vertex in the affine span of those before it.
+        k = len(self.vertices)
+        pivots = column_pivots(self._weight_rows())
+        if len(pivots) < k:
+            raise DegenerateSimplexError(next(i for i, c in enumerate(pivots + (k,)) if i != c))
+
+    def _weight_rows(self) -> list[list[int]]:
+        # The matrix whose column j is (v_j, 1).
+        k = len(self.vertices)
+        return [[v[i] for v in self.vertices] for i in range(self.ambient_dim)] + [[1] * k]
+
+    def weight_forms(self) -> ColumnForms:
+        """Integer forms for the barycentric weights of points of dilates.
+
+        For p in the affine span of nP with weights r (sum(r) = n,
+        sum(r_i * v_i) = p), ``forms[i] . (p, n) = den * r_i``; the
+        ``equalities`` vanish on (p, n) exactly when p lies in that span,
+        which only constrains simplices with d < N.
+        """
+        return column_forms(self._weight_rows())
+
+    def _weight_numerators(self, p: Sequence[int], n: int) -> tuple[int, list[int]] | None:
+        if len(p) != self.ambient_dim:
+            raise DimensionError(f"point has {len(p)} coordinates, expected {self.ambient_dim}")
+        wf = self.weight_forms()
+        x = (*p, n)
+        if any(sum(a * b for a, b in zip(e, x)) for e in wf.equalities):
+            return None
+        return wf.den, [sum(a * b for a, b in zip(w, x)) for w in wf.forms]
 
     def barycentric(self, p: Sequence[int], n: int) -> tuple[Fraction, ...] | None:
         """Coefficients r with sum(r) = n and sum(r_i * v_i) = p, or None.
 
-        The system is overdetermined when the simplex is not full-dimensional;
-        inconsistency means p is outside the affine span of n * vertices.
+        None means p is outside the affine span of n * vertices, which can
+        only happen when the simplex is not full-dimensional.
         """
-        if len(p) != self.ambient_dim:
-            raise DimensionError(f"point has {len(p)} coordinates, expected {self.ambient_dim}")
-        k = self.dim + 1
-        # Rows: one per ambient coordinate plus the normalization sum(r) = n.
-        rows = [
-            [Fraction(self.vertices[j][i]) for j in range(k)] + [Fraction(p[i])]
-            for i in range(self.ambient_dim)
-        ]
-        rows.append([Fraction(1)] * k + [Fraction(n)])
-        pivots = []
-        r = 0
-        for c in range(k):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        if any(rows[i][k] != 0 for i in range(r, len(rows))):
+        weights = self._weight_numerators(p, n)
+        if weights is None:
             return None
-        sol = [Fraction(0)] * k
-        for i, c in enumerate(pivots):
-            sol[c] = rows[i][k]
-        return tuple(sol)
+        den, numerators = weights
+        return tuple(Fraction(x, den) for x in numerators)
 
     def contains(self, p: Sequence[int], n: int, strict: bool = False) -> bool:
         """Whether p lies in nP (strict=False) or in n(P - boundary)."""
-        coeffs = self.barycentric(p, n)
-        if coeffs is None:
+        weights = self._weight_numerators(p, n)
+        if weights is None:
             return False
-        if strict:
-            return all(r > 0 for r in coeffs)
-        return all(r >= 0 for r in coeffs)
+        least = 1 if strict else 0
+        return all(x >= least for x in weights[1])
 
     def pyramid(self) -> "LatticeSimplex":
         """One-higher pyramid: base at last coordinate 0, apex (0,...,0,1)."""

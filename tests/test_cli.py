@@ -1,8 +1,14 @@
 """CLI contract: exit codes, output determinism, JSON parity."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrhart.cli import main
 from ehrhart.simplex import LatticeSimplex, dump_simplex, load_simplex
@@ -160,3 +166,70 @@ def test_json_and_kv_carry_same_delta(section2_file, capsys):
     assert doc["delta"] == [1, 0, 1, 0]
     assert "delta 1 0 1 0" in kv
     assert doc["exit_code"] == 0
+
+
+small_or_huge = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+coordinates = st.one_of(
+    small_or_huge,
+    st.sampled_from([2**64, -(2**63), 10**300]),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+integer_vertices = st.integers(0, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(small_or_huge, min_size=n, max_size=n), min_size=1, max_size=n + 2
+        ),
+    )
+)
+polytope_documents = st.one_of(
+    # Well-formed integer files: degenerate, d < N, small or huge simplices.
+    integer_vertices.map(lambda nv: {"ambient_dim": nv[0], "vertices": nv[1]}),
+    # Ragged, boolean, nested and huge coordinates.
+    st.fixed_dictionaries(
+        {
+            "ambient_dim": st.one_of(st.integers(-1, 4), st.booleans(), st.text(max_size=2)),
+            "vertices": st.lists(st.lists(coordinates, max_size=4), max_size=5),
+        }
+    ),
+    # Wrong shapes altogether.
+    st.one_of(
+        st.lists(st.integers(), max_size=3),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+        st.integers(),
+        st.none(),
+    ),
+)
+raw_texts = st.one_of(
+    polytope_documents.map(json.dumps),
+    st.sampled_from(
+        [
+            "",
+            "{",
+            "[1, 2",
+            '{"ambient_dim": 1, "vertices": [[0], [' + "9" * 5000 + "]]}",
+            '{"ambient_dim": 1, "vertices": [[0], [1e400]]}',
+            '{"ambient_dim": 2, "vertices": [[0, 0], [NaN, 1], [0, 1]]}',
+        ]
+    ),
+    st.text(max_size=20),
+)
+
+
+@given(raw_texts)
+@settings(max_examples=150, deadline=None)
+def test_delta_fuzz_ends_in_a_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["delta", path, "--method", "both", "--budget", "2000"])
+    assert code in range(6)
+    assert out.getvalue().startswith("status ")
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -2,6 +2,7 @@
 binomial transforms, reciprocity."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -18,29 +19,71 @@ from ehrhart.engine import (
     ehrhart_coefficients,
     evaluate_ehrhart,
     evaluate_interior,
-    interior_box_degrees,
     DeltaVector,
 )
-from ehrhart.errors import BudgetExceededError, DegenerateSimplexError, InconsistentCountsError
-from ehrhart.intlinalg import smith_normal_form, solve_rational
+from ehrhart.errors import (
+    BudgetExceededError,
+    DegenerateSimplexError,
+    InconsistentCountsError,
+    SingularMatrixError,
+)
+from ehrhart.intlinalg import IntegerMatrix, smith_normal_form, solve_rational
 from ehrhart.realizer import construct_lemma_first, construct_section2
 from ehrhart.simplex import LatticeSimplex, unit_simplex
 
 
 def brute_force_box_points(s):
     """Independent oracle: scan the bounding box of the half-open
-    parallelepiped and keep points whose weights all land in [0, 1)."""
+    parallelepiped and keep points whose weights all land in [0, 1).
+
+    The weights are r = z (m^T)^-1; the inverse comes from ``solve_rational``
+    on the unit vectors, scaled to integers by a common denominator."""
     m = s.lifted_matrix()
     k = s.dim + 1
     lo = [sum(min(0, m[i, j]) for i in range(k)) for j in range(k)]
     hi = [sum(max(0, m[i, j]) for i in range(k)) for j in range(k)]
     mt = m.transpose()
+    columns = [solve_rational(mt, [int(i == j) for i in range(k)]) for j in range(k)]
+    den = math.lcm(*(x.denominator for col in columns for x in col))
+    inverse = [[int(columns[j][i] * den) for j in range(k)] for i in range(k)]
     found = []
     for z in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        r = solve_rational(mt, z)
-        if all(0 <= x < 1 for x in r):
+        if all(0 <= sum(a * b for a, b in zip(row, z)) < den for row in inverse):
             found.append((z, z[-1]))
     return sorted(found)
+
+
+def brute_force_counts(s, n):
+    """Independent oracle: (closed, interior) point counts of nP from
+    ``solve_rational`` on a nonsingular square part of the barycentric system
+    at every bounding-box point, checking the remaining rows by hand."""
+    k = s.dim + 1
+    rows = [[v[i] for v in s.vertices] for i in range(s.ambient_dim)] + [[1] * k]
+    for chosen in itertools.combinations(range(len(rows)), k):
+        square = IntegerMatrix([rows[i] for i in chosen])
+        try:
+            solve_rational(square, [0] * k)
+            break
+        except SingularMatrixError:
+            continue
+    ranges = [
+        range(min(n * v[j] for v in s.vertices), max(n * v[j] for v in s.vertices) + 1)
+        for j in range(s.ambient_dim)
+    ]
+    closed = interior = 0
+    for p in itertools.product(*ranges):
+        x = (*p, n)
+        r = solve_rational(square, [x[i] for i in chosen])
+        if any(sum(a * b for a, b in zip(row, r)) != xi for row, xi in zip(rows, x)):
+            continue
+        closed += all(w >= 0 for w in r)
+        interior += all(w > 0 for w in r)
+    return closed, interior
+
+
+def interior_series(delta, n):
+    """Coefficient of t^n in sum_i delta_i t^(d+1-i) / (1-t)^(d+1)."""
+    return sum(e * math.comb(n + i - 1, delta.d) for i, e in enumerate(delta.entries))
 
 
 def section2_d3():
@@ -210,6 +253,50 @@ def test_count_points_budget_is_enforced():
         count_points(unit_simplex(3), 100, budget=1000)
 
 
+def test_count_points_budget_edge():
+    # The bounding box of 2 * conv(0, 2e_1, e_2) is 5 x 3 = 15 candidates.
+    s = LatticeSimplex([[0, 0], [2, 0], [0, 1]])
+    with pytest.raises(BudgetExceededError) as info:
+        count_points(s, 2, budget=14)
+    assert info.value.needed == 15
+    assert count_points(s, 2, budget=15) == brute_force_counts(s, 2)[0] == 9
+
+
+def random_count_cases():
+    """Two seeded random simplices for each d <= N <= 3, coordinates in [-2, 2]."""
+    rng = random.Random("count-oracle")
+    cases = {}
+    for d, ambient in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)] * 2:
+        s = None
+        while s is None:
+            s = random_simplex([[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(d + 1)])
+        cases[f"random{len(cases)}-d{d}-Z{ambient}"] = s
+    return cases
+
+
+COUNT_CASES = {
+    "point-Z0": LatticeSimplex([[]]),
+    "point-Z2": LatticeSimplex([[3, -2]]),
+    "segment-Z3": LatticeSimplex([[1, -1, 0], [-1, 2, 1]]),
+    "triangle-Z3": LatticeSimplex([[0, 0, 0], [2, 0, -1], [0, -2, 1]]),
+    "triangle-negative": LatticeSimplex([[-1, -1], [1, -2], [0, 1]]),
+    "section2-d3": section2_d3(),
+    "tetrahedron-negative": LatticeSimplex([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 2]]),
+    **random_count_cases(),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_CASES)
+def test_count_points_matches_brute_force(name):
+    s = COUNT_CASES[name]
+    for n in range(4):
+        closed, interior = brute_force_counts(s, n)
+        assert count_points(s, n) == closed
+        assert count_points(s, n, strict=True) == interior
+        if s.dim == 0:
+            assert closed == 1 and interior == (n > 0)
+
+
 def test_delta_from_counts_unit_simplex():
     assert delta_from_counts([4, 10, 20], 3).entries == (1, 0, 0, 0)
 
@@ -281,10 +368,9 @@ def test_method_agreement_and_reciprocity(verts):
     assert delta_from_counts(counts, s.dim).entries == delta.entries
     for n in range(1, 4):
         assert count_points(s, n, strict=True) == (-1) ** s.dim * evaluate_ehrhart(delta, -n)
-    # Duality of the half-open box under r -> 1 - r.
-    dual = Counter(interior_box_degrees(s))
-    direct = Counter(s.dim + 1 - p.degree for p in box_points(s))
-    assert dual == direct
+    # Interior counts against the interior generating function of the box delta.
+    for n in range(1, s.dim + 2):
+        assert count_points(s, n, strict=True) == interior_series(delta, n)
     # Degree bound: top nonzero index + first interior dilate = d + 1.
     first_interior = next(n for n in range(1, s.dim + 2) if evaluate_interior(delta, n) > 0)
     assert delta.top_index + first_interior == s.dim + 1

@@ -1,5 +1,6 @@
 """Determinant, SNF, and rational solving against small oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from ehrhart.errors import DimensionError, SingularMatrixError
 from ehrhart.intlinalg import (
     IntegerMatrix,
+    column_forms,
+    column_pivots,
     determinant,
     smith_normal_form,
     solve_rational,
@@ -157,3 +160,74 @@ def test_solve_round_trip(rows, xs):
     b = [sum(m[i, j] * x[j] for j in range(m.cols)) for i in range(m.rows)]
     assert solve_rational(m, b) == tuple(x)
 
+
+
+def rank(columns, height):
+    """Independent oracle: the largest nonsingular square minor, by cofactors."""
+    for size in range(min(len(columns), height), 0, -1):
+        for rows in itertools.combinations(range(height), size):
+            for cols in itertools.combinations(columns, size):
+                if cofactor_det([[c[i] for c in cols] for i in rows]):
+                    return size
+    return 0
+
+
+tall_matrix = st.integers(1, 4).flatmap(
+    lambda m: st.integers(1, m).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=m, max_size=m
+        )
+    )
+)
+
+
+def test_column_forms_section2_weights():
+    cf = column_forms(LIFTED_S2_D3.transpose().to_lists())
+    assert cf.den == 2 and cf.equalities == ()
+    # (1, 1, 1, 2) is the half-sum of the lifted vertices.
+    assert [sum(a * b for a, b in zip(f, (1, 1, 1, 2))) for f in cf.forms] == [1, 1, 1, 1]
+
+
+def test_column_pivots_skip_dependent_columns():
+    assert column_pivots([[1, 2, 0], [1, 2, 1], [0, 0, 3]]) == (0, 2)
+    assert column_pivots([[0, 0], [0, 0]]) == ()
+    with pytest.raises(SingularMatrixError):
+        column_forms([[1, 2, 0], [1, 2, 1], [0, 0, 3]])
+
+
+@given(small_matrix, st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+@settings(max_examples=100)
+def test_column_forms_match_solve_rational(rows, bs):
+    m = IntegerMatrix(rows)
+    det = determinant(m)
+    if det == 0:
+        assert len(column_pivots(rows)) < m.cols
+        return
+    cf = column_forms(rows)
+    b = bs[: m.rows]
+    assert cf.den == abs(det) and cf.equalities == ()
+    x = solve_rational(m, b)
+    assert tuple(Fraction(sum(a * c for a, c in zip(f, b)), cf.den) for f in cf.forms) == x
+
+
+@given(tall_matrix, st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_column_forms_cut_out_the_column_space(rows, ys):
+    m, k = len(rows), len(rows[0])
+    columns = [[r[j] for r in rows] for j in range(k)]
+    greedy = []
+    for j in range(k):
+        if rank([columns[c] for c in greedy + [j]], m) == len(greedy) + 1:
+            greedy.append(j)
+    assert column_pivots(rows) == tuple(greedy)
+    if len(greedy) < k:
+        return
+    cf = column_forms(rows)
+    assert cf.den > 0 and len(cf.equalities) == m - k
+    y = ys[:k]
+    x = [sum(r[j] * y[j] for j in range(k)) for r in rows]
+    assert [sum(a * b for a, b in zip(f, x)) for f in cf.forms] == [cf.den * v for v in y]
+    assert all(sum(a * b for a, b in zip(e, x)) == 0 for e in cf.equalities)
+    z = ys[k : k + m]
+    inside = rank(columns + [z], m) == k
+    assert inside == all(sum(a * b for a, b in zip(e, z)) == 0 for e in cf.equalities)

@@ -1,6 +1,7 @@
 """Simplex validation, membership, pyramid lifting, and file round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,23 @@ def test_new_simplex_collinear_reports_index():
     assert exc.value.index == 2
 
 
+@pytest.mark.parametrize(
+    "verts,index",
+    [
+        ([[0, 0], [0, 0]], 1),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], 3),
+        ([[1, 2, 3], [2, 3, 4], [3, 4, 5]], 2),
+        ([[0], [1], [5]], 2),
+        ([[0, 0], [1, 1], [2, 2], [3, 3]], 2),
+        ([[4], [4], [4]], 1),
+    ],
+)
+def test_new_simplex_reports_first_dependent_vertex(verts, index):
+    with pytest.raises(DegenerateSimplexError) as exc:
+        LatticeSimplex(verts)
+    assert exc.value.index == index
+
+
 def test_new_simplex_section2_vertices():
     assert section2_d3().dim == 3
 
@@ -39,6 +57,20 @@ def test_contains_vertex_closed_but_not_strict():
 def test_contains_interior_point_of_double_dilate():
     # (1,1,1) is the degree-2 parallelepiped point, hence interior to 2P.
     assert section2_d3().contains((1, 1, 1), 2, strict=True)
+
+
+def test_barycentric_is_exact():
+    assert section2_d3().barycentric((1, 1, 1), 2) == (Fraction(1, 2),) * 4
+    assert section2_d3().barycentric((0, 0, 5), 1) == tuple(Fraction(x, 2) for x in (-3, -5, 5, 5))
+
+
+def test_barycentric_outside_the_affine_span():
+    # A segment in Z^3 whose dilates lie on the line through 0 and (1, 2, -1).
+    s = LatticeSimplex([[0, 0, 0], [1, 2, -1]])
+    assert s.barycentric((2, 4, -2), 3) == (1, 2)
+    assert s.barycentric((2, 4, -1), 3) is None
+    assert s.contains((1, 2, -1), 2, strict=True)
+    assert not s.contains((1, 2, 0), 2)
 
 
 def test_contains_dimension_mismatch():
