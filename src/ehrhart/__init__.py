@@ -22,7 +22,7 @@ from .engine import (
     evaluate_ehrhart,
     evaluate_interior,
 )
-from .intlinalg import IntegerMatrix, SnfDecomposition, determinant, smith_normal_form, solve_rational
+from .intlinalg import SnfDecomposition, determinant, smith_normal_form, solve_rational
 from .realizer import (
     ConstructionPlan,
     construct_lemma_first,
@@ -41,7 +41,6 @@ __all__ = [
     "Decision",
     "DeltaVector",
     "InequalityReport",
-    "IntegerMatrix",
     "LatticeSimplex",
     "SnfDecomposition",
     "Verdict",

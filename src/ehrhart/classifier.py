@@ -137,10 +137,12 @@ def is_realizable(entries: Sequence[int]) -> Decision:
     # delta_0 still surface as basic failures first).
     if entries[0] != 1:
         return Decision(Verdict.NO, f"basic check fails: {report.basic.reason}", report)
-    for name, res in (("stanley", report.stanley), ("hibi", report.hibi), ("basic", report.basic)):
-        if not res.ok:
-            return Decision(Verdict.NO, f"{name} check fails: {res.reason}", report)
-    raise AssertionError("unreachable")
+    name, res = next(
+        (name, res)
+        for name, res in (("stanley", report.stanley), ("hibi", report.hibi), ("basic", report.basic))
+        if not res.ok
+    )
+    return Decision(Verdict.NO, f"{name} check fails: {res.reason}", report)
 
 
 def enumerate_candidates(d: int, max_sum: int = 3) -> Iterator[tuple[tuple[int, ...], Decision]]:

@@ -117,8 +117,6 @@ def cmd_delta(args) -> tuple[dict, int]:
     d = simplex.dim
     deltas = {}
     if args.method in ("box", "both"):
-        if simplex.ambient_dim != simplex.dim:
-            raise CommandFailure(EXIT_INVALID_INPUT, "box method needs a full-dimensional simplex")
         deltas["box"] = delta_from_box(simplex, budget=args.budget)
     if args.method in ("counts", "both"):
         counts = [count_points(simplex, n, budget=args.budget) for n in range(1, d + 1)]
@@ -152,12 +150,7 @@ def cmd_check(args) -> tuple[dict, int]:
 
 def cmd_realize(args) -> tuple[dict, int]:
     entries = _parse_delta_args(args.delta)
-    try:
-        simplex, plan = realize(entries, verify=args.verify)
-    except NotRealizableError as exc:
-        raise CommandFailure(EXIT_NOT_REALIZABLE, str(exc))
-    except OutOfScopeError as exc:
-        raise CommandFailure(EXIT_OUT_OF_SCOPE, str(exc))
+    simplex, plan = realize(entries, verify=args.verify)
     payload = {
         "delta": list(entries),
         "dimension": simplex.dim,
@@ -250,6 +243,10 @@ def main(argv: list[str] | None = None) -> int:
         payload, code = {"error": str(exc)}, exc.exit_code
     except BudgetExceededError as exc:
         payload, code = {"error": str(exc)}, EXIT_BUDGET_EXCEEDED
+    except NotRealizableError as exc:
+        payload, code = {"error": str(exc)}, EXIT_NOT_REALIZABLE
+    except OutOfScopeError as exc:
+        payload, code = {"error": str(exc)}, EXIT_OUT_OF_SCOPE
     except (InconsistentCountsError, InternalInconsistencyError) as exc:
         payload, code = {"error": str(exc)}, EXIT_INTERNAL_INCONSISTENCY
     except (DimensionError, DegenerateSimplexError, ParameterError, ValueError) as exc:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
-from .intlinalg import IntegerMatrix, determinant, smith_normal_form
+from .intlinalg import Rows, determinant, smith_normal_form
 from .simplex import LatticeSimplex
 
 DEFAULT_BUDGET = 10**8
@@ -72,7 +72,7 @@ class BoxPoint:
     coefficients: tuple[Fraction, ...]
 
 
-def _box_numerators(m: IntegerMatrix, budget: int) -> tuple[int, Iterator[tuple[int, ...]]]:
+def _box_numerators(m: Rows, budget: int) -> tuple[int, Iterator[tuple[int, ...]]]:
     """(D_max, numerators c) with the box points' weights equal to c / D_max.
 
     The box group is Z^(d+1) modulo the row lattice of ``m``.  With
@@ -95,12 +95,12 @@ def _box_numerators(m: IntegerMatrix, budget: int) -> tuple[int, Iterator[tuple[
     for i, di in enumerate(snf.diag):
         if di > 1:
             orders.append(di)
-            gens.append(tuple(dmax // di * u % dmax for u in snf.left.row(i)))
+            gens.append(tuple(dmax // di * u % dmax for u in snf.left[i]))
     # Membership c m = 0 (mod D_max) is linear, so checking the generators
     # covers every numerator they generate.
-    k = m.rows
+    columns = list(zip(*m))
     for g in gens:
-        if any(sum(g[i] * m[i, j] for i in range(k)) % dmax for j in range(k)):
+        if any(sum(a * b for a, b in zip(g, col)) % dmax for col in columns):
             raise InternalInconsistencyError(f"weight generator {g}/{dmax} is not a box point")
 
     def walk(level: int, c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -112,7 +112,7 @@ def _box_numerators(m: IntegerMatrix, budget: int) -> tuple[int, Iterator[tuple[
             yield from walk(level + 1, c)
             c = tuple((a + b) % dmax for a, b in zip(c, g))
 
-    return dmax, walk(0, (0,) * k)
+    return dmax, walk(0, (0,) * len(m))
 
 
 def _degree(c: tuple[int, ...], dmax: int) -> int:
@@ -130,12 +130,12 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
     """
     m = s.lifted_matrix()
     dmax, numerators = _box_numerators(m, budget)
-    k = m.rows
+    columns = list(zip(*m))
     pts = []
     for c in numerators:
         point = []
-        for j in range(k):
-            x, rest = divmod(sum(c[i] * m[i, j] for i in range(k)), dmax)
+        for col in columns:
+            x, rest = divmod(sum(a * b for a, b in zip(c, col)), dmax)
             if rest:
                 raise InternalInconsistencyError(f"weights {c}/{dmax} give a non-integer point")
             point.append(x)

@@ -1,11 +1,12 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``, so intermediate growth can never overflow.  The
-workhorses are a fraction-free Bareiss determinant, a fraction-free
-Gauss-Jordan elimination (the column rank profile, and integer forms that
-read off exact solutions and membership in the column space), a Smith normal
-form with both unimodular transforms, and an exact rational solver.
+``fractions.Fraction``, so intermediate growth can never overflow.  Matrices
+are plain sequences of integer rows.  The one elimination is a fraction-free
+Gauss-Jordan elimination; its views give the determinant, the column rank
+profile, and integer forms that read off exact solutions and membership in
+the column space.  Beside it sit a Smith normal form that keeps only its
+left transform and an exact rational solver, the tests' reference.
 """
 from __future__ import annotations
 
@@ -16,113 +17,42 @@ from typing import Sequence
 from .errors import DimensionError, SingularMatrixError
 
 
-class IntegerMatrix:
-    """Immutable dense integer matrix stored row-major."""
+Rows = Sequence[Sequence[int]]
 
-    __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, data: Sequence[Sequence[int]], cols: int | None = None):
-        rows = [tuple(int(x) for x in row) for row in data]
-        if rows:
-            width = len(rows[0])
-        else:
-            width = 0 if cols is None else cols
-        if any(len(r) != width for r in rows):
-            raise DimensionError("ragged rows")
-        self.rows = len(rows)
-        self.cols = width
-        self._data = tuple(rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self._data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self._data]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return IntegerMatrix(
-            [
-                [
-                    sum(self._data[i][k] * other._data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            cols=other.cols,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntegerMatrix) and self._data == other._data and self.cols == other.cols
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self._data))
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({[list(r) for r in self._data]!r})"
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+def _require_square(m: Rows, what: str) -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise DimensionError(f"{what} needs a square matrix, got rows of lengths {[len(r) for r in m]}")
+    return n
 
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """Smith normal form: left @ original @ right is diagonal.
+    """Smith normal form: left @ original = diag @ W for a unimodular W.
 
     ``diag`` holds the nonnegative invariant factors, each dividing the next,
-    with any zeros trailing.  Both transforms are unimodular.
+    with any zeros trailing.  ``left`` is unimodular, given as its rows; the
+    right transform is not kept.
     """
 
-    left: IntegerMatrix
+    left: list[list[int]]
     diag: tuple[int, ...]
-    right: IntegerMatrix
 
 
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+def determinant(m: Rows) -> int:
+    """Exact determinant, read off one fraction-free Gauss-Jordan elimination.
 
-    The 0x0 determinant is 1, which keeps 1-dimensional constructions uniform.
+    The last pivot is the determinant of the rows taken in pivot order, so
+    the sign of that order corrects it.  The 0x0 determinant is 1, which
+    keeps 1-dimensional constructions uniform.
     """
-    if not m.is_square:
-        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact division is guaranteed by the Bareiss identity.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    n = _require_square(m, "determinant")
+    pivots, pivot_rows, last = _gauss_jordan(list(m), n)
+    if len(pivots) < n:
+        return 0
+    inversions = sum(a > b for i, a in enumerate(pivot_rows) for b in pivot_rows[i + 1 :])
+    return -last if inversions % 2 else last
 
 
 def _gauss_jordan(a: list[Sequence[int]], k: int) -> tuple[list[int], list[int], int]:
@@ -164,7 +94,7 @@ def _gauss_jordan(a: list[Sequence[int]], k: int) -> tuple[list[int], list[int],
     return pivots, pivot_rows, prev
 
 
-def column_pivots(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def column_pivots(rows: Rows) -> tuple[int, ...]:
     """The columns of the matrix with these rows that are independent of the
     columns before them."""
     width = len(rows[0]) if rows else 0
@@ -184,7 +114,7 @@ class ColumnForms:
     equalities: tuple[tuple[int, ...], ...]
 
 
-def column_forms(rows: Sequence[Sequence[int]]) -> ColumnForms:
+def column_forms(rows: Rows) -> ColumnForms:
     """Forms of the matrix m with these rows, from one fraction-free
     elimination of ``[m | I]``.
 
@@ -207,17 +137,15 @@ def column_forms(rows: Sequence[Sequence[int]]) -> ColumnForms:
     )
 
 
-def solve_rational(m: IntegerMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
+def solve_rational(m: Rows, b: Sequence[int]) -> tuple[Fraction, ...]:
     """Solve m @ x = b exactly over the rationals.
 
     Raises SingularMatrixError when the matrix has no inverse.
     """
-    if not m.is_square:
-        raise DimensionError(f"solve needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
+    n = _require_square(m, "solve")
     if len(b) != n:
         raise DimensionError(f"rhs has length {len(b)}, expected {n}")
-    a = [[Fraction(x) for x in m.row(i)] + [Fraction(b[i])] for i in range(n)]
+    a = [[Fraction(x) for x in m[i]] + [Fraction(b[i])] for i in range(n)]
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
@@ -232,18 +160,16 @@ def solve_rational(m: IntegerMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(a[i][n] for i in range(n))
 
 
-def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
+def smith_normal_form(m: Rows) -> SnfDecomposition:
     """Diagonalize by unimodular row and column operations.
 
-    Returns (left, diag, right) with left @ m @ right diagonal, the diagonal
-    entries nonnegative with each dividing the next and zeros trailing.
+    Returns (left, diag) with left @ m @ right diagonal for some unimodular
+    right, the diagonal entries nonnegative with each dividing the next and
+    zeros trailing.  Only the row operations are recorded.
     """
-    if not m.is_square:
-        raise DimensionError(f"smith_normal_form needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = m.to_lists()
-    left = IntegerMatrix.identity(n).to_lists()
-    right = IntegerMatrix.identity(n).to_lists()
+    n = _require_square(m, "smith_normal_form")
+    a = [list(row) for row in m]
+    left = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -251,8 +177,6 @@ def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, f):
@@ -262,8 +186,6 @@ def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
 
     def add_col(src, dst, f):
         for row in a:
-            row[dst] += f * row[src]
-        for row in right:
             row[dst] += f * row[src]
 
     def negate_row(i):
@@ -317,9 +239,4 @@ def smith_normal_form(m: IntegerMatrix) -> SnfDecomposition:
         if t < n and a[t][t] < 0:
             negate_row(t)
 
-    diag = tuple(a[i][i] for i in range(n))
-    return SnfDecomposition(
-        left=IntegerMatrix(left, cols=n),
-        diag=diag,
-        right=IntegerMatrix(right, cols=n),
-    )
+    return SnfDecomposition(left=left, diag=tuple(a[i][i] for i in range(n)))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateSimplexError, DimensionError
-from .intlinalg import ColumnForms, IntegerMatrix, column_forms, column_pivots
+from .intlinalg import ColumnForms, column_forms, column_pivots
 
 Point = tuple[int, ...]
 
@@ -93,13 +93,13 @@ class LatticeSimplex:
         apex = (0,) * self.ambient_dim + (1,)
         return LatticeSimplex(base + [apex])
 
-    def lifted_matrix(self) -> IntegerMatrix:
-        """The (d+1)x(d+1) matrix with rows (v_i, 1); full-dimensional only."""
+    def lifted_matrix(self) -> list[list[int]]:
+        """The rows (v_i, 1) of the (d+1)x(d+1) lifted matrix; full-dimensional only."""
         if self.ambient_dim != self.dim:
             raise DimensionError(
                 f"lifted matrix needs a full-dimensional simplex (N={self.ambient_dim}, d={self.dim})"
             )
-        return IntegerMatrix([list(v) + [1] for v in self.vertices])
+        return [[*v, 1] for v in self.vertices]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices

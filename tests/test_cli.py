@@ -48,6 +48,23 @@ def test_delta_invalid_file(tmp_path, capsys):
     assert code == 1 and "status invalid-input" in out
 
 
+@pytest.mark.parametrize("method", ["box", "both"])
+def test_delta_box_rejects_lower_dimensional_simplex(tmp_path, capsys, method):
+    path = tmp_path / "segment.json"
+    dump_simplex(LatticeSimplex([[0, 0], [1, 1]]), str(path))
+    code, out = run(capsys, "delta", str(path), "--method", method)
+    assert code == 1 and out.startswith("status invalid-input\n")
+    assert "full-dimensional" in out
+
+
+def test_delta_counts_handles_lower_dimensional_simplex(tmp_path, capsys):
+    path = tmp_path / "segment.json"
+    dump_simplex(LatticeSimplex([[0, 0], [1, 1]]), str(path))
+    code, out = run(capsys, "delta", str(path), "--method", "counts")
+    assert code == 0 and out.startswith("status ok\n")
+    assert "\ndelta 1 0\n" in out
+
+
 def test_delta_budget_exceeded(tmp_path, capsys):
     path = tmp_path / "big.json"
     dump_simplex(LatticeSimplex([[0, 0, 0], [99, 0, 0], [0, 99, 0], [0, 0, 99]]), str(path))

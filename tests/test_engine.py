@@ -27,7 +27,7 @@ from ehrhart.errors import (
     InconsistentCountsError,
     SingularMatrixError,
 )
-from ehrhart.intlinalg import IntegerMatrix, smith_normal_form, solve_rational
+from ehrhart.intlinalg import smith_normal_form, solve_rational
 from ehrhart.realizer import construct_lemma_first, construct_section2
 from ehrhart.simplex import LatticeSimplex, unit_simplex
 
@@ -40,9 +40,9 @@ def brute_force_box_points(s):
     on the unit vectors, scaled to integers by a common denominator."""
     m = s.lifted_matrix()
     k = s.dim + 1
-    lo = [sum(min(0, m[i, j]) for i in range(k)) for j in range(k)]
-    hi = [sum(max(0, m[i, j]) for i in range(k)) for j in range(k)]
-    mt = m.transpose()
+    mt = [list(col) for col in zip(*m)]
+    lo = [sum(min(0, x) for x in col) for col in mt]
+    hi = [sum(max(0, x) for x in col) for col in mt]
     columns = [solve_rational(mt, [int(i == j) for i in range(k)]) for j in range(k)]
     den = math.lcm(*(x.denominator for col in columns for x in col))
     inverse = [[int(columns[j][i] * den) for j in range(k)] for i in range(k)]
@@ -60,7 +60,7 @@ def brute_force_counts(s, n):
     k = s.dim + 1
     rows = [[v[i] for v in s.vertices] for i in range(s.ambient_dim)] + [[1] * k]
     for chosen in itertools.combinations(range(len(rows)), k):
-        square = IntegerMatrix([rows[i] for i in chosen])
+        square = [rows[i] for i in chosen]
         try:
             solve_rational(square, [0] * k)
             break
@@ -138,7 +138,7 @@ def test_box_points_match_oracle_on_random_simplices(verts):
     m = s.lifted_matrix()
     for p in pts:
         assert all(0 <= r < 1 for r in p.coefficients)
-        assert tuple(sum(r * m[i, j] for i, r in enumerate(p.coefficients)) for j in range(m.cols)) == p.point
+        assert tuple(sum(r * x for r, x in zip(p.coefficients, col)) for col in zip(*m)) == p.point
 
 
 def hnf_cyclic_simplex(b, volume):

@@ -107,7 +107,7 @@ def test_pyramid_preserves_normalized_volume():
 
 def test_lifted_matrix_unit_triangle():
     m = unit_simplex(2).lifted_matrix()
-    assert m.to_lists() == [[0, 0, 1], [1, 0, 1], [0, 1, 1]]
+    assert m == [[0, 0, 1], [1, 0, 1], [0, 1, 1]]
     assert abs(determinant(m)) == 1
 
 
