@@ -67,9 +67,10 @@ def check_stanley(entries: Sequence[int]) -> CheckResult:
     if all(e == 0 for e in entries):
         raise ValueError("all-zero sequence has no top nonzero index")
     s = max(i for i, e in enumerate(entries) if e != 0)
+    lhs = rhs = 0
     for i in range(s // 2 + 1):
-        lhs = sum(entries[: i + 1])
-        rhs = sum(entries[s - i : s + 1])
+        lhs += entries[i]
+        rhs += entries[s - i]
         if lhs > rhs:
             return CheckResult(False, i, f"sum delta_0..delta_{i} = {lhs} > sum delta_{s - i}..delta_{s} = {rhs}")
     return CheckResult(True)
@@ -79,9 +80,10 @@ def check_hibi(entries: Sequence[int]) -> CheckResult:
     """delta_{d-1} + ... + delta_{d-i} <= delta_2 + ... + delta_{i+1} for
     1 <= i <= (d-1)//2; vacuous for d <= 2."""
     d = len(entries) - 1
+    lhs = rhs = 0
     for i in range(1, (d - 1) // 2 + 1):
-        lhs = sum(entries[d - i : d])
-        rhs = sum(entries[2 : i + 2])
+        lhs += entries[d - i]
+        rhs += entries[i + 1]
         if lhs > rhs:
             return CheckResult(False, i, f"sum delta_{d - i}..delta_{d - 1} = {lhs} > sum delta_2..delta_{i + 1} = {rhs}")
     return CheckResult(True)
@@ -124,11 +126,10 @@ def is_realizable(entries: Sequence[int]) -> Decision:
         report = inequality_report(entries)
         return Decision(Verdict.NO, report.basic.reason, report)
     if total > 3:
-        report = inequality_report(entries) if any(entries) else None
         return Decision(
             Verdict.OUT_OF_SCOPE,
             f"coordinate sum {total} > 3: the inequalities are necessary but not sufficient there",
-            report,
+            inequality_report(entries),
         )
     report = inequality_report(entries)
     if report.all_ok:

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 
 from .classifier import Verdict, enumerate_candidates, inequality_report, is_realizable
 from .engine import (
@@ -38,7 +36,7 @@ from .errors import (
     ParameterError,
 )
 from .realizer import realize
-from .simplex import dump_simplex, load_simplex, simplex_to_dict
+from .simplex import dump_simplex, load_simplex
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -133,7 +131,7 @@ def cmd_delta(args) -> tuple[dict, int]:
         "method": args.method,
         "delta": list(delta.entries),
         "normalized_volume": delta.normalized_volume,
-        "volume": str(Fraction(delta.normalized_volume, math.factorial(d))),
+        "volume": str(coeffs[-1]),
         "ehrhart_coeffs": [str(c) for c in coeffs],
         "counts": [
             {"n": n, "i": evaluate_ehrhart(delta, n), "i_star": evaluate_interior(delta, n)}

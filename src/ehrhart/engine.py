@@ -47,11 +47,6 @@ class DeltaVector:
         return len(self.entries) - 1
 
     @property
-    def top_index(self) -> int:
-        """s = max{i : delta_i != 0}."""
-        return max(i for i, e in enumerate(self.entries) if e != 0)
-
-    @property
     def normalized_volume(self) -> int:
         return sum(self.entries)
 
@@ -252,50 +247,43 @@ def delta_from_counts(counts: Sequence[int], d: int) -> DeltaVector:
 
 
 def binomial_poly(a: int, d: int) -> int:
-    """C(a, d) by the polynomial a(a-1)...(a-d+1)/d!, valid for negative a."""
+    """C(a, d) as the polynomial a(a-1)...(a-d+1)/d!, valid for negative a,
+    where C(a, d) = (-1)^d C(d-1-a, d)."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    num = 1
-    for j in range(d):
-        num *= a - j
-    return num // math.factorial(d)
+    return math.comb(a, d) if a >= 0 else (-1) ** d * math.comb(d - 1 - a, d)
 
 
 def evaluate_ehrhart(delta: DeltaVector, n: int) -> int:
     """i(P, n) = sum_i delta_i * C(n + d - i, d), for any integer n."""
     d = delta.d
-    return sum(e * binomial_poly(n + d - i, d) for i, e in enumerate(delta.entries))
+    return sum(e * binomial_poly(n + d - i, d) for i, e in enumerate(delta.entries) if e)
 
 
 def evaluate_interior(delta: DeltaVector, n: int) -> int:
-    """i*(P, n) = (-1)^d i(P, -n) via reciprocity; n must be positive."""
+    """i*(P, n) = sum_i delta_i * C(n - 1 + i, d); n must be positive."""
     if n < 1:
         raise ValueError("interior evaluation needs n >= 1")
-    val = (-1) ** delta.d * evaluate_ehrhart(delta, -n)
-    if val < 0:
-        raise InternalInconsistencyError(f"negative interior count {val} for {delta.entries}")
-    return val
+    d = delta.d
+    return sum(e * math.comb(n - 1 + i, d) for i, e in enumerate(delta.entries) if e)
 
 
 def ehrhart_coefficients(delta: DeltaVector) -> list[Fraction]:
-    """Coefficients of i(P, n) as a polynomial in n, constant term first."""
+    """Coefficients of i(P, n) as a polynomial in n, constant term first.
+
+    d! C(n + d - i, d) is the product of (n + r) for r = 1-i..d-i; the
+    products for the nonzero delta_i are expanded and summed in integers,
+    and only the sum is divided by d!.
+    """
     d = delta.d
-    # Interpolate from d+1 exact evaluations (Newton forward differences).
-    values = [Fraction(evaluate_ehrhart(delta, n)) for n in range(d + 1)]
-    coeffs = [Fraction(0)] * (d + 1)
-    # Divided differences on the nodes 0..d give the Newton form; expand it.
-    dd = list(values)
-    for level in range(1, d + 1):
-        for i in range(d, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / level
-    # Newton basis products (n)(n-1)...(n-k+1), expanded incrementally.
-    basis = [Fraction(1)]
-    for k in range(d + 1):
-        for j, b in enumerate(basis):
-            coeffs[j] += dd[k] * b
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for j, b in enumerate(basis):
-            new_basis[j] -= k * b
-            new_basis[j + 1] += b
-        basis = new_basis
-    return coeffs
+    total = [0] * (d + 1)
+    for i, e in enumerate(delta.entries):
+        if not e:
+            continue
+        poly = [1]
+        for r in range(1 - i, d - i + 1):
+            # poly * (n + r), coefficients constant term first
+            poly = [r * a + b for a, b in zip(poly + [0], [0] + poly)]
+        total = [t + e * c for t, c in zip(total, poly)]
+    scale = math.factorial(d)
+    return [Fraction(c, scale) for c in total]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrhart.classifier import (
+    CheckResult,
     Verdict,
     check_basic,
     check_hibi,
@@ -164,3 +165,62 @@ def test_yes_set_equals_box_group_deltas():
     for d in range(3, 41):
         yes = {c for c, dec in enumerate_candidates(d, 3) if dec.verdict is Verdict.YES}
         assert yes == box_group_deltas(d), f"d = {d}"
+
+
+def slice_sum_stanley(entries):
+    """Reference for ``check_stanley``: every partial sum taken afresh."""
+    if all(e == 0 for e in entries):
+        raise ValueError("all-zero sequence has no top nonzero index")
+    s = max(i for i, e in enumerate(entries) if e != 0)
+    for i in range(s // 2 + 1):
+        lhs = sum(entries[: i + 1])
+        rhs = sum(entries[s - i : s + 1])
+        if lhs > rhs:
+            return CheckResult(False, i, f"sum delta_0..delta_{i} = {lhs} > sum delta_{s - i}..delta_{s} = {rhs}")
+    return CheckResult(True)
+
+
+def slice_sum_hibi(entries):
+    """Reference for ``check_hibi``: every partial sum taken afresh."""
+    d = len(entries) - 1
+    for i in range(1, (d - 1) // 2 + 1):
+        lhs = sum(entries[d - i : d])
+        rhs = sum(entries[2 : i + 2])
+        if lhs > rhs:
+            return CheckResult(False, i, f"sum delta_{d - i}..delta_{d - 1} = {lhs} > sum delta_2..delta_{i + 1} = {rhs}")
+    return CheckResult(True)
+
+
+def small_sequences(length, budget):
+    """Sequences of the given length with entries 0..3 summing to at most budget."""
+    if length == 0:
+        yield ()
+        return
+    for e in range(min(3, budget) + 1):
+        for rest in small_sequences(length - 1, budget - e):
+            yield (e,) + rest
+
+
+def check_corpus():
+    for length in range(1, 10):
+        for tail in small_sequences(length - 1, 4):
+            for head in range(1, min(3, 5 - sum(tail)) + 1):
+                yield (head,) + tail
+        yield (0,) * length
+        yield (1,) + (0,) * (length - 1) + (-1,)
+        yield (1, -2) + (1,) * (length - 1)
+    long = [1] + [2] * 19998 + [1]
+    long[9999] += 1  # Stanley fails at its last step i = s // 2; Hibi runs to the end
+    yield tuple(long)
+
+
+def test_running_sum_checks_match_slice_sums():
+    for entries in check_corpus():
+        for check, reference in ((check_stanley, slice_sum_stanley), (check_hibi, slice_sum_hibi)):
+            try:
+                expected = reference(entries)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    check(entries)
+                continue
+            assert check(entries) == expected, entries

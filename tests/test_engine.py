@@ -358,6 +358,30 @@ def test_ehrhart_coefficients_section2():
     assert coeffs[d] * 6 == 2  # leading coefficient = normalized volume / d!
 
 
+def test_ehrhart_data_on_random_deltas():
+    """The coefficients, the closed-form i(P, n) and i*(P, n) agree with one
+    another: polynomial evaluation, reciprocity and the leading term."""
+    rng = random.Random(20)
+    for d in range(41):
+        for _ in range(3):
+            delta = DeltaVector((1,) + tuple(rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(d)))
+            coeffs = ehrhart_coefficients(delta)
+            assert len(coeffs) == d + 1
+            for n in range(-d - 1, d + 2):
+                assert sum(c * n**k for k, c in enumerate(coeffs)) == evaluate_ehrhart(delta, n)
+            for n in range(1, d + 3):
+                assert evaluate_interior(delta, n) == (-1) ** d * evaluate_ehrhart(delta, -n)
+            assert coeffs[-1] * math.factorial(d) == delta.normalized_volume
+
+
+def test_ehrhart_coefficients_section2_large_d():
+    d = 201
+    delta = DeltaVector(tuple(int(i in (0, (d + 1) // 2)) for i in range(d + 1)))
+    coeffs = ehrhart_coefficients(delta)
+    assert coeffs[0] == 1  # i(P, 0) = 1
+    assert sum(coeffs) == 202  # i(P, 1) = d + 1 lattice points
+
+
 @given(simplices)
 @settings(max_examples=40, deadline=None)
 def test_method_agreement_and_reciprocity(verts):
@@ -373,7 +397,8 @@ def test_method_agreement_and_reciprocity(verts):
         assert count_points(s, n, strict=True) == interior_series(delta, n)
     # Degree bound: top nonzero index + first interior dilate = d + 1.
     first_interior = next(n for n in range(1, s.dim + 2) if evaluate_interior(delta, n) > 0)
-    assert delta.top_index + first_interior == s.dim + 1
+    top_index = max(i for i, e in enumerate(delta.entries) if e)
+    assert top_index + first_interior == s.dim + 1
     # Boundary identities for delta_1 and delta_d.
     assert delta.entries[1] == counts[0] - (s.dim + 1)
     assert delta.entries[s.dim] == count_points(s, 1, strict=True)
