@@ -8,9 +8,8 @@ out-of-scope verdict instead of a yes/no.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class Verdict(Enum):
@@ -19,15 +18,13 @@ class Verdict(Enum):
     OUT_OF_SCOPE = "out-of-scope"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     witness: int | None = None
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     basic: CheckResult
     stanley: CheckResult
     hibi: CheckResult
@@ -38,8 +35,7 @@ class InequalityReport:
         return self.basic.ok and self.stanley.ok and self.hibi.ok
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     verdict: Verdict
     reason: str
     report: InequalityReport | None = None

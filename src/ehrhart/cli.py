@@ -8,11 +8,14 @@ information under ``--json``.  Exit codes are fixed per failure class:
 
     0 ok, 1 invalid-input, 2 not-realizable, 3 out-of-scope,
     4 budget-exceeded, 5 internal-inconsistency
+
+A usage error (a missing or malformed argument) is invalid input.  A
+standard-library module that only some commands need, such as ``json``, is
+imported where it is used, so that a fresh ``check`` does not load it.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .classifier import Verdict, enumerate_candidates, inequality_report, is_realizable
@@ -61,8 +64,17 @@ class CommandFailure(Exception):
         self.exit_code = exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as invalid input instead of exiting with 2."""
+
+    def error(self, message: str):
+        raise CommandFailure(EXIT_INVALID_INPUT, f"{self.prog}: {message}")
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(payload, indent=2))
         return
     for key, value in payload.items():
@@ -108,6 +120,8 @@ def _check_payload(entries: tuple[int, ...]) -> tuple[dict, int]:
 
 
 def cmd_delta(args) -> tuple[dict, int]:
+    import json
+
     try:
         simplex = load_simplex(args.polytope)
     except (OSError, json.JSONDecodeError, RecursionError, DimensionError, DegenerateSimplexError) as exc:
@@ -195,7 +209,7 @@ def cmd_enumerate(args) -> tuple[dict, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ehrhart",
         description="Exact delta-vector computation, checking, and realization for lattice simplices.",
     )
@@ -234,8 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # Parsing fills this namespace as it goes, so ``--json`` given before the
+    # subcommand is known even when a later argument is a usage error.
+    args = argparse.Namespace()
     try:
+        parser.parse_args(argv, namespace=args)
         payload, code = args.func(args)
     except CommandFailure as exc:
         payload, code = {"error": str(exc)}, exc.exit_code

@@ -17,30 +17,54 @@ Two independent routes are provided on purpose:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
 from .intlinalg import Rows, determinant, smith_normal_form
 from .simplex import LatticeSimplex
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
 class DeltaVector:
-    """The sequence (delta_0, ..., delta_d); always starts with 1, never negative."""
+    """The sequence (delta_0, ..., delta_d); always starts with 1, never negative.
 
-    entries: tuple[int, ...]
+    Immutable: ``entries`` is set once, and instances compare and hash by it.
+    """
 
-    def __post_init__(self):
-        if not self.entries:
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]):
+        if not entries:
             raise InconsistentCountsError("empty delta vector")
-        if self.entries[0] != 1:
-            raise InconsistentCountsError(f"delta_0 = {self.entries[0]}, must be 1")
-        if any(e < 0 for e in self.entries):
-            raise InconsistentCountsError(f"negative entry in {self.entries}")
+        if entries[0] != 1:
+            raise InconsistentCountsError(f"delta_0 = {entries[0]}, must be 1")
+        if any(e < 0 for e in entries):
+            raise InconsistentCountsError(f"negative entry in {entries}")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"DeltaVector(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return DeltaVector, (self.entries,)
 
     @property
     def d(self) -> int:
@@ -54,8 +78,7 @@ class DeltaVector:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class BoxPoint:
+class BoxPoint(NamedTuple):
     """Integer point of the half-open parallelepiped over the lifted simplex.
 
     ``coefficients`` are the barycentric weights in [0, 1); ``degree`` is the
@@ -123,6 +146,8 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
 
     Raises BudgetExceededError when the normalized volume exceeds ``budget``.
     """
+    from fractions import Fraction
+
     m = s.lifted_matrix()
     dmax, numerators = _box_numerators(m, budget)
     columns = list(zip(*m))
@@ -275,6 +300,8 @@ def ehrhart_coefficients(delta: DeltaVector) -> list[Fraction]:
     products for the nonzero delta_i are expanded and summed in integers,
     and only the sum is divided by d!.
     """
+    from fractions import Fraction
+
     d = delta.d
     total = [0] * (d + 1)
     for i, e in enumerate(delta.entries):

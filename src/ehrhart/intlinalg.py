@@ -10,11 +10,12 @@ left transform and an exact rational solver, the tests' reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError, SingularMatrixError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 Rows = Sequence[Sequence[int]]
@@ -27,8 +28,7 @@ def _require_square(m: Rows, what: str) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(NamedTuple):
     """Smith normal form: left @ original = diag @ W for a unimodular W.
 
     ``diag`` holds the nonnegative invariant factors, each dividing the next,
@@ -101,8 +101,7 @@ def column_pivots(rows: Rows) -> tuple[int, ...]:
     return tuple(_gauss_jordan(list(rows), width)[0])
 
 
-@dataclass(frozen=True)
-class ColumnForms:
+class ColumnForms(NamedTuple):
     """Integer forms for the column space of a matrix A with independent
     columns: every x = A y has ``forms[i] . x = den * y[i]`` with den > 0,
     and ``equalities[j] . x`` is zero for every j exactly when x lies in the
@@ -142,6 +141,8 @@ def solve_rational(m: Rows, b: Sequence[int]) -> tuple[Fraction, ...]:
 
     Raises SingularMatrixError when the matrix has no inverse.
     """
+    from fractions import Fraction
+
     n = _require_square(m, "solve")
     if len(b) != n:
         raise DimensionError(f"rhs has length {len(b)}, expected {n}")

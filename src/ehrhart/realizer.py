@@ -10,7 +10,7 @@ nothing relies on the formulas being right.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .classifier import Verdict, is_realizable
 from .engine import delta_from_box
@@ -18,13 +18,13 @@ from .errors import InternalInconsistencyError, NotRealizableError, OutOfScopeEr
 from .simplex import LatticeSimplex
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
+class ConstructionPlan(NamedTuple):
     """How a witness was built: a family name and its parameters.  ``lifts``
-    counts pyramid steps; the cyclic witness that ``realize`` builds has none."""
+    counts pyramid steps; the cyclic witness that ``realize`` builds has none.
+    ``parameters`` has no default, so no two plans share one dict."""
 
     family: str
-    parameters: dict = field(default_factory=dict)
+    parameters: dict
     lifts: int = 0
 
     def describe(self) -> str:

@@ -8,12 +8,13 @@ dilate is a sign test on integer dot products.
 """
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateSimplexError, DimensionError
 from .intlinalg import ColumnForms, column_forms, column_pivots
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Point = tuple[int, ...]
 
@@ -73,6 +74,8 @@ class LatticeSimplex:
         None means p is outside the affine span of n * vertices, which can
         only happen when the simplex is not full-dimensional.
         """
+        from fractions import Fraction
+
         weights = self._weight_numerators(p, n)
         if weights is None:
             return None
@@ -134,6 +137,8 @@ def dump_simplex(s: LatticeSimplex, path: str, plan: str | None = None) -> None:
     Python's json emits integers in plain decimal, so arbitrary-precision
     coordinates round-trip exactly.
     """
+    import json
+
     with open(path, "w") as fh:
         json.dump(simplex_to_dict(s, plan), fh, indent=2)
         fh.write("\n")
@@ -146,6 +151,8 @@ def _is_json_int(x) -> bool:
 
 def load_simplex(path: str) -> LatticeSimplex:
     """Read a polytope file; extra fields (e.g. a plan note) are ignored."""
+    import json
+
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "ambient_dim" not in doc or "vertices" not in doc:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -124,6 +126,75 @@ def test_check_exit_codes(capsys):
 def test_check_rejects_non_integer(capsys):
     code, out = run(capsys, "check", "1", "x")
     assert code == 1 and "status invalid-input" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["realize"],
+        ["enumerate", "--dim", "abc"],
+        ["enumerate"],
+        ["delta"],
+        ["delta", "p.json", "--method", "fast"],
+        ["bogus"],
+        [],
+        ["check", "1", "0", "--json"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_are_invalid_input(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("status invalid-input\nerror ehrhart")
+    assert captured.out.endswith("exit_code 1\n")
+    assert captured.err == ""
+
+
+def test_usage_error_after_json_flag_is_a_json_document(capsys):
+    code = main(["--json", "enumerate", "--dim", "abc"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc == {
+        "status": "invalid-input",
+        "error": "ehrhart enumerate: argument --dim: invalid int value: 'abc'",
+        "exit_code": 1,
+    }
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ehrhart")
+
+
+STARTUP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from ehrhart.cli import main
+main(["check", "1", "0", "0", "0"])
+print(*sorted(sys.modules))
+"""
+# Standard-library modules a fresh check has no use for.
+UNUSED_AT_STARTUP = {"dataclasses", "inspect", "fractions", "decimal", "json"}
+
+
+def test_fresh_check_loads_no_unused_stdlib_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def modules(code, *args):
+        out = subprocess.run(
+            [sys.executable, "-E", "-c", code, *args], capture_output=True, text=True, check=True, timeout=60
+        ).stdout
+        return set(out.splitlines()[-1].split())
+
+    bare = modules("import sys; print(*sorted(sys.modules))")
+    after_check = modules(STARTUP_PROBE, src)
+    assert "ehrhart.cli" in after_check
+    assert (after_check - bare) & UNUSED_AT_STARTUP == set()
 
 
 def test_realize_writes_verified_witness(tmp_path, capsys):
