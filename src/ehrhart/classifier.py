@@ -117,7 +117,8 @@ def is_realizable(entries: Sequence[int]) -> Decision:
     d = len(entries) - 1
     total = sum(entries)
     if d < 3:
-        return Decision(Verdict.OUT_OF_SCOPE, f"dimension {d} < 3 is outside the classified range")
+        report = inequality_report(entries) if entries else None
+        return Decision(Verdict.OUT_OF_SCOPE, f"dimension {d} < 3 is outside the classified range", report)
     if any(e < 0 for e in entries):
         report = inequality_report(entries)
         return Decision(Verdict.NO, report.basic.reason, report)

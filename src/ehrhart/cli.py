@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classifier import Verdict, enumerate_candidates, inequality_report, is_realizable
+from .classifier import Verdict, enumerate_candidates, is_realizable
 from .engine import (
     DEFAULT_BUDGET,
     count_points,
@@ -97,16 +97,12 @@ def _parse_delta_args(tokens: list[str]) -> tuple[int, ...]:
     return entries
 
 
-def _check_payload(entries: tuple[int, ...]) -> tuple[dict, int]:
+def cmd_check(args) -> tuple[dict, int]:
+    entries = _parse_delta_args(args.delta)
     decision = is_realizable(entries)
-    report = decision.report if decision.report is not None else inequality_report(entries)
+    report = decision.report
     payload: dict = {"delta": list(entries), "dimension": len(entries) - 1, "sum": sum(entries)}
-    for name, res in (
-        ("basic", report.basic),
-        ("stanley", report.stanley),
-        ("hibi", report.hibi),
-        ("lower_bound", report.lower_bound),
-    ):
+    for name, res in zip(report._fields, report):
         payload[name] = "pass" if res.ok else f"fail at i={res.witness}"
     payload["verdict"] = decision.verdict.value
     payload["reason"] = decision.reason
@@ -153,11 +149,6 @@ def cmd_delta(args) -> tuple[dict, int]:
         ],
     }
     return payload, EXIT_OK
-
-
-def cmd_check(args) -> tuple[dict, int]:
-    entries = _parse_delta_args(args.delta)
-    return _check_payload(entries)
 
 
 def cmd_realize(args) -> tuple[dict, int]:

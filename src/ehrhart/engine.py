@@ -20,7 +20,7 @@ import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
-from .intlinalg import Rows, determinant, smith_normal_form
+from .intlinalg import smith_normal_form
 from .simplex import LatticeSimplex
 
 if TYPE_CHECKING:
@@ -90,23 +90,24 @@ class BoxPoint(NamedTuple):
     coefficients: tuple[Fraction, ...]
 
 
-def _box_numerators(m: Rows, budget: int) -> tuple[int, Iterator[tuple[int, ...]]]:
+def _box_numerators(s: LatticeSimplex, budget: int) -> tuple[int, Iterator[tuple[int, ...]]]:
     """(D_max, numerators c) with the box points' weights equal to c / D_max.
 
-    The box group is Z^(d+1) modulo the row lattice of ``m``.  With
-    ``U m V = D`` its weight vectors are frac(sum_i (w_i / D_i) U_i) for
+    The box group is Z^(d+1) modulo the row lattice of the lifted matrix m.
+    With ``U m V = D`` its weight vectors are frac(sum_i (w_i / D_i) U_i) for
     w_i in [0, D_i) (Beck-Robins, ch. 3), so each numerator is an integer sum
     of the rows (D_max / D_i) U_i taken modulo D_max.  Only invariant factors
-    D_i > 1 contribute.  Refuses before any enumeration when the group order
-    exceeds the budget; the numerators are generated lazily.
+    D_i > 1 contribute.  The group order is the normalized volume kept from
+    construction, refused above the budget before the Smith normal form runs;
+    the invariant factors must multiply to it.  Numerators come lazily.
     """
+    volume = s.normalized_volume
+    if volume > budget:
+        raise BudgetExceededError(volume, budget)
+    m = s.lifted_matrix()
     snf = smith_normal_form(m)
-    size = math.prod(snf.diag)
-    volume = abs(determinant(m))
-    if size != volume:
+    if math.prod(snf.diag) != volume:
         raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
-    if size > budget:
-        raise BudgetExceededError(size, budget)
     dmax = snf.diag[-1]
     orders = []
     gens = []
@@ -148,9 +149,8 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
     """
     from fractions import Fraction
 
-    m = s.lifted_matrix()
-    dmax, numerators = _box_numerators(m, budget)
-    columns = list(zip(*m))
+    dmax, numerators = _box_numerators(s, budget)
+    columns = list(zip(*s.lifted_matrix()))
     pts = []
     for c in numerators:
         point = []
@@ -175,7 +175,7 @@ def delta_from_box(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> DeltaVect
 
     Raises BudgetExceededError when the normalized volume exceeds ``budget``.
     """
-    dmax, numerators = _box_numerators(s.lifted_matrix(), budget)
+    dmax, numerators = _box_numerators(s, budget)
     entries = [0] * (s.dim + 1)
     for c in numerators:
         entries[_degree(c, dmax)] += 1

@@ -4,9 +4,10 @@ Everything here runs on Python's arbitrary-precision integers and
 ``fractions.Fraction``, so intermediate growth can never overflow.  Matrices
 are plain sequences of integer rows.  The one elimination is a fraction-free
 Gauss-Jordan elimination; its views give the determinant, the column rank
-profile, and integer forms that read off exact solutions and membership in
-the column space.  Beside it sit a Smith normal form that keeps only its
-left transform and an exact rational solver, the tests' reference.
+profile with the last pivot, and integer forms that read off exact solutions
+and membership in the column space.  Beside it sit a Smith normal form that
+keeps only its left transform and an exact rational solver, the tests'
+reference.
 """
 from __future__ import annotations
 
@@ -94,11 +95,13 @@ def _gauss_jordan(a: list[Sequence[int]], k: int) -> tuple[list[int], list[int],
     return pivots, pivot_rows, prev
 
 
-def column_pivots(rows: Rows) -> tuple[int, ...]:
+def column_pivots(rows: Rows) -> tuple[tuple[int, ...], int]:
     """The columns of the matrix with these rows that are independent of the
-    columns before them."""
+    columns before them, and the last pivot: ± the determinant when the
+    matrix is square and nonsingular."""
     width = len(rows[0]) if rows else 0
-    return tuple(_gauss_jordan(list(rows), width)[0])
+    pivots, _, last = _gauss_jordan(list(rows), width)
+    return tuple(pivots), last
 
 
 class ColumnForms(NamedTuple):

@@ -1,8 +1,10 @@
 """Integral lattice simplices: validation, membership, pyramid lifting, IO.
 
-A simplex is stored as its vertex list.  One fraction-free elimination of the
-vertex columns (v_j, 1) gives integer linear forms whose values at (p, n) are
-the barycentric weights of p in the dilate nP times a common positive
+A simplex is stored as its vertex list.  Its construction eliminates the
+vertex columns (v_j, 1) once, fraction-free, to check affine independence;
+the last pivot is ± the normalized volume.  On first use the same columns
+beside an identity give integer linear forms, kept, whose values at (p, n)
+are the barycentric weights of p in the dilate nP times a common positive
 denominator, plus equalities that cut out the affine span; membership in a
 dilate is a sign test on integer dot products.
 """
@@ -16,13 +18,11 @@ from .intlinalg import ColumnForms, column_forms, column_pivots
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Point = tuple[int, ...]
-
 
 class LatticeSimplex:
     """d+1 integer vertices in Z^N spanning an affine d-space."""
 
-    __slots__ = ("ambient_dim", "vertices", "dim")
+    __slots__ = ("ambient_dim", "vertices", "dim", "_volume", "_forms")
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
         if len(vertices) < 1:
@@ -34,15 +34,14 @@ class LatticeSimplex:
         self.ambient_dim = n
         self.vertices = verts
         self.dim = len(verts) - 1
-        self._check_affine_independence()
-
-    def _check_affine_independence(self):
         # Pivot columns come in ascending order, so the first position i with
         # no pivot i is the first vertex in the affine span of those before it.
-        k = len(self.vertices)
-        pivots = column_pivots(self._weight_rows())
+        k = len(verts)
+        pivots, last = column_pivots(self._weight_rows())
         if len(pivots) < k:
             raise DegenerateSimplexError(next(i for i, c in enumerate(pivots + (k,)) if i != c))
+        self._volume = abs(last)
+        self._forms = None
 
     def _weight_rows(self) -> list[list[int]]:
         # The matrix whose column j is (v_j, 1).
@@ -55,9 +54,11 @@ class LatticeSimplex:
         For p in the affine span of nP with weights r (sum(r) = n,
         sum(r_i * v_i) = p), ``forms[i] . (p, n) = den * r_i``; the
         ``equalities`` vanish on (p, n) exactly when p lies in that span,
-        which only constrains simplices with d < N.
+        which only constrains simplices with d < N.  Built on first use and kept.
         """
-        return column_forms(self._weight_rows())
+        if self._forms is None:
+            self._forms = column_forms(self._weight_rows())
+        return self._forms
 
     def _weight_numerators(self, p: Sequence[int], n: int) -> tuple[int, list[int]] | None:
         if len(p) != self.ambient_dim:
@@ -96,12 +97,19 @@ class LatticeSimplex:
         apex = (0,) * self.ambient_dim + (1,)
         return LatticeSimplex(base + [apex])
 
+    def _require_full_dimensional(self) -> None:
+        if self.ambient_dim != self.dim:
+            raise DimensionError(f"lifted matrix needs a full-dimensional simplex (N={self.ambient_dim}, d={self.dim})")
+
+    @property
+    def normalized_volume(self) -> int:
+        """|det| of the lifted matrix, kept from construction; full-dimensional only."""
+        self._require_full_dimensional()
+        return self._volume
+
     def lifted_matrix(self) -> list[list[int]]:
         """The rows (v_i, 1) of the (d+1)x(d+1) lifted matrix; full-dimensional only."""
-        if self.ambient_dim != self.dim:
-            raise DimensionError(
-                f"lifted matrix needs a full-dimensional simplex (N={self.ambient_dim}, d={self.dim})"
-            )
+        self._require_full_dimensional()
         return [[*v, 1] for v in self.vertices]
 
     def __eq__(self, other: object) -> bool:
@@ -124,13 +132,6 @@ def unit_simplex(d: int) -> LatticeSimplex:
     return LatticeSimplex(verts)
 
 
-def simplex_to_dict(s: LatticeSimplex, plan: str | None = None) -> dict:
-    doc = {"ambient_dim": s.ambient_dim, "vertices": [list(v) for v in s.vertices]}
-    if plan is not None:
-        doc["plan"] = plan
-    return doc
-
-
 def dump_simplex(s: LatticeSimplex, path: str, plan: str | None = None) -> None:
     """Write the polytope file: JSON with ambient_dim and integer vertices.
 
@@ -139,8 +140,11 @@ def dump_simplex(s: LatticeSimplex, path: str, plan: str | None = None) -> None:
     """
     import json
 
+    doc = {"ambient_dim": s.ambient_dim, "vertices": [list(v) for v in s.vertices]}
+    if plan is not None:
+        doc["plan"] = plan
     with open(path, "w") as fh:
-        json.dump(simplex_to_dict(s, plan), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from ehrhart.classifier import (
     CheckResult,
+    Decision,
     Verdict,
     check_basic,
     check_hibi,
     check_stanley,
     enumerate_candidates,
+    inequality_report,
     is_realizable,
 )
 from ehrhart.engine import delta_from_box
@@ -78,7 +80,10 @@ def test_realizable_out_of_scope_sum4():
 
 
 def test_realizable_out_of_scope_low_dimension():
-    assert is_realizable((1, 1)).verdict is Verdict.OUT_OF_SCOPE
+    dec = is_realizable((1, 1))
+    assert dec.verdict is Verdict.OUT_OF_SCOPE
+    assert dec.report == inequality_report((1, 1))
+    assert is_realizable(()) == Decision(Verdict.OUT_OF_SCOPE, "dimension -1 < 3 is outside the classified range")
 
 
 def test_enumerate_d3_sum2():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ehrhart import engine
 from ehrhart.engine import (
     binomial_poly,
     box_points,
@@ -24,10 +25,11 @@ from ehrhart.engine import (
 from ehrhart.errors import (
     BudgetExceededError,
     DegenerateSimplexError,
+    DimensionError,
     InconsistentCountsError,
     SingularMatrixError,
 )
-from ehrhart.intlinalg import smith_normal_form, solve_rational
+from ehrhart.intlinalg import determinant, smith_normal_form, solve_rational
 from ehrhart.realizer import construct_lemma_first, construct_section2
 from ehrhart.simplex import LatticeSimplex, unit_simplex
 
@@ -229,6 +231,20 @@ def test_box_route_budget_is_enforced():
     assert delta_from_box(section2_d3(), budget=2).entries == (1, 0, 1, 0)
 
 
+def test_box_route_refuses_on_the_volume_before_the_smith_normal_form(monkeypatch):
+    def no_snf(m):
+        raise AssertionError("the Smith normal form ran before the budget check")
+
+    monkeypatch.setattr(engine, "smith_normal_form", no_snf)
+    for s in (section2_d3(), construct_lemma_first(1), hnf_cyclic_simplex([3, 5, 0], 211)):
+        volume = s.normalized_volume
+        with pytest.raises(BudgetExceededError) as info:
+            delta_from_box(s, budget=volume - 1)
+        assert info.value.needed == volume
+        with pytest.raises(BudgetExceededError):
+            box_points(s, budget=volume - 1)
+
+
 def test_delta_from_box_unit_simplex():
     assert delta_from_box(unit_simplex(3)).entries == (1, 0, 0, 0)
 
@@ -289,6 +305,11 @@ COUNT_CASES = {
 @pytest.mark.parametrize("name", COUNT_CASES)
 def test_count_points_matches_brute_force(name):
     s = COUNT_CASES[name]
+    if s.dim == s.ambient_dim:
+        assert s.normalized_volume == abs(determinant(s.lifted_matrix()))
+    else:
+        with pytest.raises(DimensionError):
+            s.normalized_volume
     for n in range(4):
         closed, interior = brute_force_counts(s, n)
         assert count_points(s, n) == closed

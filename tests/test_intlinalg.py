@@ -233,8 +233,11 @@ def test_column_forms_section2_weights():
 
 
 def test_column_pivots_skip_dependent_columns():
-    assert column_pivots([[1, 2, 0], [1, 2, 1], [0, 0, 3]]) == (0, 2)
-    assert column_pivots([[0, 0], [0, 0]]) == ()
+    assert column_pivots([[1, 2, 0], [1, 2, 1], [0, 0, 3]]) == ((0, 2), 1)
+    assert column_pivots([[0, 0], [0, 0]]) == ((), 1)
+    for rows in (SECTION2_D3, LEMMA31_K1, LIFTED_S2_D3, transpose(LIFTED_S2_D3)):
+        pivots, last = column_pivots(rows)
+        assert pivots == tuple(range(len(rows))) and last in (determinant(rows), -determinant(rows))
     with pytest.raises(SingularMatrixError):
         column_forms([[1, 2, 0], [1, 2, 1], [0, 0, 3]])
 
@@ -243,9 +246,11 @@ def test_column_pivots_skip_dependent_columns():
 @settings(max_examples=100)
 def test_column_forms_match_solve_rational(rows, bs):
     det = determinant(rows)
+    pivots, last = column_pivots(rows)
     if det == 0:
-        assert len(column_pivots(rows)) < len(rows)
+        assert len(pivots) < len(rows)
         return
+    assert len(pivots) == len(rows) and last in (det, -det)
     cf = column_forms(rows)
     b = bs[: len(rows)]
     assert cf.den == abs(det) and cf.equalities == ()
@@ -262,9 +267,12 @@ def test_column_forms_cut_out_the_column_space(rows, ys):
     for j in range(k):
         if rank([columns[c] for c in greedy + [j]], m) == len(greedy) + 1:
             greedy.append(j)
-    assert column_pivots(rows) == tuple(greedy)
+    pivots, last = column_pivots(rows)
+    assert pivots == tuple(greedy)
     if len(greedy) < k:
         return
+    if m == k:
+        assert last in (determinant(rows), -determinant(rows))
     cf = column_forms(rows)
     assert cf.den > 0 and len(cf.equalities) == m - k
     y = ys[:k]

@@ -1,11 +1,13 @@
 """Simplex validation, membership, pyramid lifting, and file round trips."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ehrhart.engine import delta_from_box
+from ehrhart import simplex as simplex_module
+from ehrhart.engine import box_points, count_points, delta_from_box, delta_from_counts
 from ehrhart.errors import DegenerateSimplexError, DimensionError
 from ehrhart.intlinalg import determinant
 from ehrhart.realizer import construct_lemma_second, construct_section2
@@ -123,6 +125,40 @@ def test_lifted_matrix_rejects_non_full_dimensional():
     s = LatticeSimplex([[0, 0], [1, 0]])
     with pytest.raises(DimensionError):
         s.lifted_matrix()
+    segment = LatticeSimplex([[0, 0], [1, 1]])
+    with pytest.raises(DimensionError) as lifted:
+        segment.lifted_matrix()
+    with pytest.raises(DimensionError) as volume:
+        segment.normalized_volume
+    assert str(volume.value) == str(lifted.value)
+
+
+def test_one_elimination_per_simplex_and_forms_built_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(simplex_module, name)
+
+        def wrapper(rows):
+            calls[name] += 1
+            return original(rows)
+
+        return wrapper
+
+    for name in ("column_pivots", "column_forms"):
+        monkeypatch.setattr(simplex_module, name, counted(name))
+    s = LatticeSimplex([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert s.normalized_volume == 2
+    assert delta_from_box(s).entries == (1, 0, 1, 0)
+    assert len(box_points(s)) == 2
+    counts = [count_points(s, n) for n in range(1, s.dim + 1)]
+    assert delta_from_counts(counts, s.dim).entries == (1, 0, 1, 0)
+    assert s.contains((1, 1, 1), 2, strict=True)
+    assert not s.contains((0, 0, 5), 1)
+    assert s.contains((0, 0, 0), 1) and not s.contains((0, 0, 0), 1, strict=True)
+    assert s.barycentric((1, 1, 1), 2) == (Fraction(1, 2),) * 4
+    assert s.barycentric((0, 0, 5), 1) == tuple(Fraction(x, 2) for x in (-3, -5, 5, 5))
+    assert calls == {"column_pivots": 1, "column_forms": 1}
 
 
 def test_polytope_file_round_trip(tmp_path):
