@@ -103,7 +103,12 @@ def cmd_check(args) -> tuple[dict, int]:
     report = decision.report
     payload: dict = {"delta": list(entries), "dimension": len(entries) - 1, "sum": sum(entries)}
     for name, res in zip(report._fields, report):
-        payload[name] = "pass" if res.ok else f"fail at i={res.witness}"
+        if res.ok:
+            payload[name] = "pass"
+        elif res.witness is None:
+            payload[name] = "fail"
+        else:
+            payload[name] = f"fail at i={res.witness}"
     payload["verdict"] = decision.verdict.value
     payload["reason"] = decision.reason
     if decision.verdict is Verdict.YES:
@@ -161,7 +166,10 @@ def cmd_realize(args) -> tuple[dict, int]:
         "verified": "yes" if args.verify else "skipped",
     }
     if args.out:
-        dump_simplex(simplex, args.out, plan=plan.describe())
+        try:
+            dump_simplex(simplex, args.out, plan=plan.describe())
+        except OSError as exc:
+            raise CommandFailure(EXIT_INVALID_INPUT, f"cannot write witness file: {exc}")
         payload["out"] = args.out
     else:
         payload["vertices"] = [list(v) for v in simplex.vertices]

@@ -17,6 +17,7 @@ Two independent routes are provided on purpose:
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
@@ -119,7 +120,7 @@ def _box_numerators(s: LatticeSimplex, budget: int) -> tuple[int, Iterator[tuple
     # covers every numerator they generate.
     columns = list(zip(*m))
     for g in gens:
-        if any(sum(a * b for a, b in zip(g, col)) % dmax for col in columns):
+        if any(sum(map(operator.mul, g, col)) % dmax for col in columns):
             raise InternalInconsistencyError(f"weight generator {g}/{dmax} is not a box point")
 
     def walk(level: int, c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

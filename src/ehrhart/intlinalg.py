@@ -170,6 +170,16 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
     Returns (left, diag) with left @ m @ right diagonal for some unimodular
     right, the diagonal entries nonnegative with each dividing the next and
     zeros trailing.  Only the row operations are recorded.
+
+    Each pivot is the first nonzero entry of least magnitude, in row-major
+    order, of the remaining submatrix.  No nonzero entry is smaller than a
+    unit, so the search stops at the first +-1: that is the entry a full
+    scan would pick, and ``left`` and ``diag`` do not depend on the
+    shortcut.  A unit pivot divides everything (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4): the row operations clear
+    its column exactly, after which the column operations would only zero
+    the rest of its row, and the divisibility pass has nothing to fold in.
+    So the unit step is the row operations and a zeroed row tail.
     """
     n = _require_square(m, "smith_normal_form")
     a = [list(row) for row in m]
@@ -198,12 +208,19 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
 
     for t in range(n):
         while True:
-            # Move a nonzero entry of smallest magnitude to the pivot slot.
+            # Move the first nonzero entry of least magnitude to the pivot slot.
             best = None
+            least = 0
             for i in range(t, n):
+                row = a[i]
                 for j in range(t, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
+                    x = abs(row[j])
+                    if x and (best is None or x < least):
+                        best, least = (i, j), x
+                        if x == 1:
+                            break
+                if least == 1:
+                    break
             if best is None:
                 break
             bi, bj = best
@@ -212,6 +229,12 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
             if bj != t:
                 swap_cols(t, bj)
             piv = a[t][t]
+            if least == 1:
+                for i in range(t + 1, n):
+                    if a[i][t] != 0:
+                        add_row(t, i, -a[i][t] * piv)
+                a[t][t + 1 :] = [0] * (n - t - 1)
+                break
             done = True
             for i in range(t + 1, n):
                 if a[i][t] != 0:

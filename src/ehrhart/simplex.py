@@ -27,7 +27,7 @@ class LatticeSimplex:
     def __init__(self, vertices: Sequence[Sequence[int]]):
         if len(vertices) < 1:
             raise DimensionError("a simplex needs at least one vertex")
-        verts = tuple(tuple(int(x) for x in v) for v in vertices)
+        verts = tuple(tuple(map(int, v)) for v in vertices)
         n = len(verts[0])
         if any(len(v) != n for v in verts):
             raise DimensionError("vertices have mixed ambient dimensions")

@@ -123,6 +123,14 @@ def test_check_exit_codes(capsys):
     assert code == 3 and "stanley pass" in out and "hibi pass" in out
 
 
+def test_check_failure_without_an_index_prints_no_index(capsys):
+    # delta_0 = 0 fails Stanley's inequality with no index to name.
+    code, out = run(capsys, "check", "0", "0")
+    assert code == 3 and "\nstanley fail\n" in out and "None" not in out
+    code, out = run(capsys, "--json", "check", "0", "0")
+    assert code == 3 and json.loads(out)["stanley"] == "fail"
+
+
 def test_check_rejects_non_integer(capsys):
     code, out = run(capsys, "check", "1", "x")
     assert code == 1 and "status invalid-input" in out
@@ -205,6 +213,14 @@ def test_realize_writes_verified_witness(tmp_path, capsys):
     assert code == 0 and "verified yes" in out
     witness = load_simplex(str(out_path))
     assert witness.dim == 9
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_realize_unwritable_out_is_invalid_input(tmp_path, capsys, where):
+    out_path = tmp_path / "missing" / "w.json" if where == "missing-parent" else tmp_path
+    code, out = run(capsys, "realize", "1", "0", "0", "0", "--out", str(out_path))
+    assert code == 1 and out.startswith("status invalid-input\n")
+    assert "error cannot write witness file: " in out and out.endswith("exit_code 1\n")
 
 
 def test_realize_not_realizable(capsys):

@@ -2,20 +2,26 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ehrhart.classifier import Verdict, enumerate_candidates
 from ehrhart.errors import DimensionError, SingularMatrixError
 from ehrhart.intlinalg import (
+    SnfDecomposition,
+    _require_square,
     column_forms,
     column_pivots,
     determinant,
     smith_normal_form,
     solve_rational,
 )
+from ehrhart.realizer import realize
+from ehrhart.simplex import unit_simplex
 
 # Edge matrices of the two volume constructions (vertex rows with v_0 = 0).
 SECTION2_D3 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -128,6 +134,86 @@ def test_snf_lifted_section2_matrix():
     assert snf.diag == (1, 1, 1, 2)
 
 
+def reference_smith_normal_form(m):
+    """``smith_normal_form`` without the unit-pivot shortcut, its reference:
+    every step scans the whole remaining submatrix for its first entry of
+    least magnitude and runs the column operations and the divisibility pass
+    on every pivot, units included."""
+    n = _require_square(m, "smith_normal_form")
+    a = [list(row) for row in m]
+    left = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, f):
+        # row[dst] += f * row[src]
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
+
+    def add_col(src, dst, f):
+        for row in a:
+            row[dst] += f * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        left[i] = [-x for x in left[i]]
+
+    for t in range(n):
+        while True:
+            # Move a nonzero entry of smallest magnitude to the pivot slot.
+            best = None
+            for i in range(t, n):
+                for j in range(t, n):
+                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            bi, bj = best
+            if bi != t:
+                swap_rows(t, bi)
+            if bj != t:
+                swap_cols(t, bj)
+            piv = a[t][t]
+            done = True
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    q = a[i][t] // piv
+                    add_row(t, i, -q)
+                    if a[i][t] != 0:
+                        done = False
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    q = a[t][j] // piv
+                    add_col(t, j, -q)
+                    if a[t][j] != 0:
+                        done = False
+            if not done:
+                continue
+            # Pivot must divide every remaining entry; if not, fold the
+            # offending row in and restart the reduction at this slot.
+            offender = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, n):
+                    if a[i][j] % piv != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if t < n and a[t][t] < 0:
+            negate_row(t)
+
+    return SnfDecomposition(left=left, diag=tuple(a[i][i] for i in range(n)))
+
+
 def check_snf(m):
     """U M = D W for some unimodular W, which with U unimodular is the same
     as U M V = D for a unimodular V: U has determinant +-1, row i of U M is
@@ -164,13 +250,92 @@ def check_snf(m):
 singular_matrix = small_matrix.map(lambda rows: [r + [0] for r in rows + [[sum(c) for c in zip(*rows)]]])
 
 
-@given(st.one_of(small_matrix, singular_matrix))
-@settings(max_examples=200)
+# Mostly zeros and units of both signs, so most pivots are units and many
+# are found after a row or column swap.
+unit_entry = st.sampled_from([0, 0, 0, 1, -1, -1, 2, -3])
+unit_rich_matrix = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(unit_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+# No unit entries at all: any unit pivot appears only after a reduction step.
+unitless_entry = st.sampled_from([0, 2, -2, 3, -3, 4, 5, -5, 6, 9])
+unitless_matrix = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(unitless_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(st.one_of(small_matrix, singular_matrix, unit_rich_matrix, unitless_matrix))
+@settings(max_examples=300, deadline=None)
 @example([[0, 0], [0, 0]])
 @example([[2, 4], [1, 2]])
 @example([[6, 4, 0], [4, 6, 0], [0, 0, 0]])
+@example([[0, -1, 3], [-1, 0, 2], [5, 7, 0]])
+@example([[2, 3], [4, 5]])
 def test_snf_invariants_hold(rows):
     check_snf(rows)
+
+
+@given(st.one_of(small_matrix, sparse_matrix, singular_matrix, unit_rich_matrix, unitless_matrix))
+@settings(max_examples=600, deadline=None)
+@example([[-1]])
+@example([[0, -1], [-1, 0]])
+@example([[0, 2, -1], [3, -1, 0], [-1, 4, 4]])
+@example([[2, 3], [4, 5]])
+@example([[6, 10, 15], [10, 15, 6], [15, 6, 10]])
+@example([[4, 6, 0], [6, 9, 2], [0, 2, 3]])
+def test_snf_matches_the_reference(rows):
+    assert smith_normal_form(rows) == reference_smith_normal_form(rows)
+
+
+@pytest.mark.parametrize("d", range(3, 41))
+def test_snf_matches_the_reference_on_every_witness(d):
+    for cand, decision in enumerate_candidates(d):
+        if decision.verdict is Verdict.YES:
+            m = realize(cand, verify=False)[0].lifted_matrix()
+            assert smith_normal_form(m) == reference_smith_normal_form(m)
+
+
+def scramble(vertices, rng):
+    """A seeded unimodular map (2d signed row additions) and a translation."""
+    d = len(vertices[0])
+    u = identity(d)
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        f = rng.choice((-1, 1))
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+    shift = [rng.randint(-5, 5) for _ in range(d)]
+    return [[sum(a * x for a, x in zip(row, v)) + t for row, t in zip(u, shift)] for v in vertices]
+
+
+def test_snf_matches_the_reference_on_scrambled_cyclic_simplices_and_joins():
+    rng = random.Random(15)
+
+    def cyclic(d, volume):
+        # conv(0, e_1, ..., e_(d-1), (b, volume)): a cyclic box group of that order.
+        b = [rng.randrange(volume) for _ in range(d - 1)]
+        return [[0] * d] + identity(d)[: d - 1] + [b + [volume]]
+
+    for k in range(150):
+        if k % 3:
+            volume = rng.randint(2, 400)
+            verts = cyclic(rng.randint(2, 6), volume)
+        else:
+            # The free join conv(P x 0 x 0, 0 x Q x 1) has box group Z/vp x Z/vq: two
+            # invariant factors > 1 when gcd(vp, vq) > 1.
+            a, vp, vq = rng.randint(1, 3), rng.randint(2, 20), rng.randint(2, 20)
+            p, q = cyclic(a, vp), cyclic(rng.randint(1, 5 - a), vq)
+            verts = [v + [0] * len(q[0]) + [0] for v in p] + [[0] * a + w + [1] for w in q]
+            volume = vp * vq
+        if rng.random() < 0.5:
+            verts = scramble(verts, rng)
+        m = [v + [1] for v in verts]
+        snf = smith_normal_form(m)
+        assert snf == reference_smith_normal_form(m)
+        assert math.prod(snf.diag) == volume
+
+
+def test_snf_of_the_unit_simplex_at_d300():
+    m = unit_simplex(300).lifted_matrix()
+    assert smith_normal_form(m).diag == (1,) * 301
 
 
 def test_solve_identity():

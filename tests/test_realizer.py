@@ -135,6 +135,23 @@ def test_realize_segment_volume3():
     assert delta_from_box(s).entries == (1, 2, 0, 0)
 
 
+def test_realize_verifies_a_sum3_candidate_at_d400(monkeypatch):
+    # The verification runs the Smith normal form of a 401 x 401 lifted matrix.
+    entries = [1] + [0] * 400
+    entries[133] = entries[266] = 1
+    recomputed = []
+
+    def spy(s):
+        delta = delta_from_box(s)
+        recomputed.append(delta.entries)
+        return delta
+
+    monkeypatch.setattr(realizer, "delta_from_box", spy)
+    s, plan = realize(entries, verify=True)
+    assert recomputed == [tuple(entries)]
+    assert s.dim == 400 and plan.parameters["volume"] == 3
+
+
 def test_realize_rejects_no_candidate():
     with pytest.raises(NotRealizableError):
         realize((1, 1, 0, 0, 1))
