@@ -28,6 +28,6 @@ total = 0
 for d in range(3, 9):
     for cand, decision in enumerate_candidates(d, 3):
         if decision.verdict is Verdict.YES:
-            simplex, _ = realize(cand)  # verify=True recomputes delta
+            simplex, _ = realize(cand)  # realize recomputes delta and checks it
             total += 1
 print(f"\nrealized and verified {total} candidates across dimensions 3..8")

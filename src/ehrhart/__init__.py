@@ -22,7 +22,7 @@ from .engine import (
     evaluate_ehrhart,
     evaluate_interior,
 )
-from .intlinalg import SnfDecomposition, determinant, smith_normal_form, solve_rational
+from .intlinalg import SnfDecomposition, smith_normal_form
 from .realizer import (
     ConstructionPlan,
     construct_lemma_first,
@@ -57,7 +57,6 @@ __all__ = [
     "count_points",
     "delta_from_box",
     "delta_from_counts",
-    "determinant",
     "dump_simplex",
     "ehrhart_coefficients",
     "enumerate_candidates",
@@ -68,7 +67,6 @@ __all__ = [
     "load_simplex",
     "realize",
     "smith_normal_form",
-    "solve_rational",
     "unit_simplex",
 ]
 

@@ -16,6 +16,7 @@ imported where it is used, so that a fresh ``check`` does not load it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .classifier import Verdict, enumerate_candidates, is_realizable
@@ -69,6 +70,23 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise CommandFailure(EXIT_INVALID_INPUT, f"{self.prog}: {message}")
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift Python's limit on int-to-str conversion (from 3.10.7 and 3.11)
+    while the CLI computes and formats numbers of its own.  Input parsing
+    keeps the limit, so an oversized number in argv or a polytope file stays
+    invalid input."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -127,44 +145,42 @@ def cmd_delta(args) -> tuple[dict, int]:
         simplex = load_simplex(args.polytope)
     except (OSError, json.JSONDecodeError, RecursionError, DimensionError, DegenerateSimplexError) as exc:
         raise CommandFailure(EXIT_INVALID_INPUT, f"cannot read polytope file: {exc}")
-    d = simplex.dim
-    deltas = {}
-    if args.method in ("box", "both"):
-        deltas["box"] = delta_from_box(simplex, budget=args.budget)
-    if args.method in ("counts", "both"):
-        counts = [count_points(simplex, n, budget=args.budget) for n in range(1, d + 1)]
-        deltas["counts"] = delta_from_counts(counts, d)
-    if len(deltas) == 2 and deltas["box"].entries != deltas["counts"].entries:
-        raise CommandFailure(
-            EXIT_INTERNAL_INCONSISTENCY,
-            f"box method gave {deltas['box'].entries}, counts gave {deltas['counts'].entries}",
-        )
-    delta = next(iter(deltas.values()))
-    coeffs = ehrhart_coefficients(delta)
-    payload = {
-        "dimension": d,
-        "method": args.method,
-        "delta": list(delta.entries),
-        "normalized_volume": delta.normalized_volume,
-        "volume": str(coeffs[-1]),
-        "ehrhart_coeffs": [str(c) for c in coeffs],
-        "counts": [
-            {"n": n, "i": evaluate_ehrhart(delta, n), "i_star": evaluate_interior(delta, n)}
-            for n in range(1, d + 1)
-        ],
-    }
-    return payload, EXIT_OK
+    # Past the file, every number is computed, even one that a budget
+    # refusal's message shows.
+    with _no_digit_limit():
+        d = simplex.dim
+        deltas = {}
+        if args.method in ("box", "both"):
+            deltas["box"] = delta_from_box(simplex, budget=args.budget)
+        if args.method in ("counts", "both"):
+            counts = [count_points(simplex, n, budget=args.budget) for n in range(1, d + 1)]
+            deltas["counts"] = delta_from_counts(counts, d)
+        if len(deltas) == 2 and deltas["box"].entries != deltas["counts"].entries:
+            raise CommandFailure(
+                EXIT_INTERNAL_INCONSISTENCY,
+                f"box method gave {deltas['box'].entries}, counts gave {deltas['counts'].entries}",
+            )
+        delta = next(iter(deltas.values()))
+        coeffs = ehrhart_coefficients(delta)
+        payload = {
+            "dimension": d,
+            "method": args.method,
+            "delta": list(delta.entries),
+            "normalized_volume": delta.normalized_volume,
+            "volume": str(coeffs[-1]),
+            "ehrhart_coeffs": [str(c) for c in coeffs],
+            "counts": [
+                {"n": n, "i": evaluate_ehrhart(delta, n), "i_star": evaluate_interior(delta, n)}
+                for n in range(1, d + 1)
+            ],
+        }
+        return payload, EXIT_OK
 
 
 def cmd_realize(args) -> tuple[dict, int]:
     entries = _parse_delta_args(args.delta)
-    simplex, plan = realize(entries, verify=args.verify)
-    payload = {
-        "delta": list(entries),
-        "dimension": simplex.dim,
-        "plan": plan.describe(),
-        "verified": "yes" if args.verify else "skipped",
-    }
+    simplex, plan = realize(entries)
+    payload = {"delta": list(entries), "dimension": simplex.dim, "plan": plan.describe(), "verified": "yes"}
     if args.out:
         try:
             dump_simplex(simplex, args.out, plan=plan.describe())
@@ -191,7 +207,7 @@ def cmd_enumerate(args) -> tuple[dict, int]:
             yes += 1
             if args.realize_all:
                 try:
-                    realize(cand, verify=True)
+                    realize(cand)
                     verified += 1
                     row["realized"] = "ok"
                 except InternalInconsistencyError:
@@ -234,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="construct a witness simplex for a YES candidate")
     p.add_argument("delta", nargs="+", help="delta entries starting with delta_0")
     p.add_argument("--out", help="write the witness polytope file here")
-    p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("enumerate", help="tabulate all candidates for a dimension")
@@ -268,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     out = {"status": _STATUS[code]}
     out.update(payload)
     out["exit_code"] = code
-    _emit(out, args.json)
+    with _no_digit_limit():
+        _emit(out, args.json)
     return code
 
 

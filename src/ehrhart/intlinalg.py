@@ -1,22 +1,18 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``, so intermediate growth can never overflow.  Matrices
-are plain sequences of integer rows.  The one elimination is a fraction-free
-Gauss-Jordan elimination; its views give the determinant, the column rank
-profile with the last pivot, and integer forms that read off exact solutions
-and membership in the column space.  Beside it sit a Smith normal form that
-keeps only its left transform and an exact rational solver, the tests'
-reference.
+Everything here runs on Python's arbitrary-precision integers, so
+intermediate growth can never overflow.  Matrices are plain sequences of
+integer rows.  The one elimination is a fraction-free Gauss-Jordan
+elimination; its views give the column rank profile with the last pivot, and
+integer forms that read off exact solutions and membership in the column
+space.  Beside it sits a Smith normal form that keeps only its left
+transform.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, SingularMatrixError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 Rows = Sequence[Sequence[int]]
@@ -39,21 +35,6 @@ class SnfDecomposition(NamedTuple):
 
     left: list[list[int]]
     diag: tuple[int, ...]
-
-
-def determinant(m: Rows) -> int:
-    """Exact determinant, read off one fraction-free Gauss-Jordan elimination.
-
-    The last pivot is the determinant of the rows taken in pivot order, so
-    the sign of that order corrects it.  The 0x0 determinant is 1, which
-    keeps 1-dimensional constructions uniform.
-    """
-    n = _require_square(m, "determinant")
-    pivots, pivot_rows, last = _gauss_jordan(list(m), n)
-    if len(pivots) < n:
-        return 0
-    inversions = sum(a > b for i, a in enumerate(pivot_rows) for b in pivot_rows[i + 1 :])
-    return -last if inversions % 2 else last
 
 
 def _gauss_jordan(a: list[Sequence[int]], k: int) -> tuple[list[int], list[int], int]:
@@ -137,31 +118,6 @@ def column_forms(rows: Rows) -> ColumnForms:
         forms=tuple(tuple(sign * x for x in a[r][width:]) for r in pivot_rows),
         equalities=tuple(tuple(a[i][width:]) for i in range(size) if i not in pivot_rows),
     )
-
-
-def solve_rational(m: Rows, b: Sequence[int]) -> tuple[Fraction, ...]:
-    """Solve m @ x = b exactly over the rationals.
-
-    Raises SingularMatrixError when the matrix has no inverse.
-    """
-    from fractions import Fraction
-
-    n = _require_square(m, "solve")
-    if len(b) != n:
-        raise DimensionError(f"rhs has length {len(b)}, expected {n}")
-    a = [[Fraction(x) for x in m[i]] + [Fraction(b[i])] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return tuple(a[i][n] for i in range(n))
 
 
 def smith_normal_form(m: Rows) -> SnfDecomposition:

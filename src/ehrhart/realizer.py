@@ -5,8 +5,8 @@ explicit vertex families.
 (b, V)) straight from the candidate's cyclic box group.  The families
 (volume-2 chain, its volume-3 variant, segments, the one-interior-point
 triangle and the two lemma families) are the paper's constructions, kept as
-tested artifacts.  Every witness is meant to be re-verified by the engine;
-nothing relies on the formulas being right.
+tested artifacts.  ``realize`` re-verifies every witness it builds by
+recomputing its delta-vector; nothing relies on the formulas being right.
 """
 from __future__ import annotations
 
@@ -168,7 +168,7 @@ def construct_lemma_second(k: int, ell: int) -> LatticeSimplex:
     return LatticeSimplex(verts)
 
 
-def realize(entries, verify: bool = True) -> tuple[LatticeSimplex, ConstructionPlan]:
+def realize(entries) -> tuple[LatticeSimplex, ConstructionPlan]:
     """Build a full-dimensional witness simplex for a YES candidate.
 
     With sum <= 3 the normalized volume V = sum(entries) is 1, 2 or 3, so the
@@ -179,8 +179,9 @@ def realize(entries, verify: bool = True) -> tuple[LatticeSimplex, ConstructionP
     form simplex conv(0, e_1, ..., e_(d-1), (b, V)) whose box group is
     generated by a / V: b_i = -a_i * a_d^-1 mod V.
 
-    With verify=True (default) the delta-vector is recomputed from the witness
-    and must match the candidate exactly.
+    The delta-vector is always recomputed from the witness by the box route
+    and must match the candidate exactly; a mismatch raises
+    InternalInconsistencyError.
     """
     entries = tuple(int(e) for e in entries)
     decision = is_realizable(entries)
@@ -208,10 +209,7 @@ def realize(entries, verify: bool = True) -> tuple[LatticeSimplex, ConstructionP
     b = [-x % volume for x in a[1:d]]
     simplex = LatticeSimplex([[0] * d] + [_unit(k, d) for k in range(1, d)] + [b + [volume]])
     plan = ConstructionPlan("cyclic", {"volume": volume, "b": b})
-    if verify:
-        recomputed = delta_from_box(simplex)
-        if tuple(recomputed.entries) != entries:
-            raise InternalInconsistencyError(
-                f"witness verification failed: got {recomputed.entries}, wanted {entries}"
-            )
+    recomputed = delta_from_box(simplex)
+    if tuple(recomputed.entries) != entries:
+        raise InternalInconsistencyError(f"witness verification failed: got {recomputed.entries}, wanted {entries}")
     return simplex, plan

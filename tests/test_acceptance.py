@@ -8,7 +8,6 @@ import math
 from ehrhart.classifier import Verdict, enumerate_candidates, inequality_report, is_realizable
 from ehrhart.cli import main
 from ehrhart.engine import count_points, delta_from_box, delta_from_counts, evaluate_ehrhart
-from ehrhart.intlinalg import determinant
 from ehrhart.realizer import (
     construct_lemma_first,
     construct_lemma_second,
@@ -34,7 +33,7 @@ def test_criterion_1_section2_family():
         expected = tuple(1 if i in (0, (d + 1) // 2) else 0 for i in range(d + 1))
         ok &= entries == expected
         ok &= sum(entries) == 2
-        ok &= abs(determinant(s.lifted_matrix())) == 2
+        ok &= s.normalized_volume == 2
     report("1 section2 family d=3..11", ok)
 
 
@@ -46,7 +45,7 @@ def test_criterion_2_lemma_first():
         entries = delta_from_box(s).entries
         expected = tuple(1 if i in (0, k + 1, 2 * k + 2) else 0 for i in range(d + 1))
         ok &= entries == expected
-        ok &= abs(determinant(s.lifted_matrix())) == 3
+        ok &= s.normalized_volume == 3
     report("2 lemma-first family k=1..3", ok)
 
 

@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrhart import cli, realizer
 from ehrhart.cli import main
+from ehrhart.engine import DeltaVector
 from ehrhart.simplex import LatticeSimplex, dump_simplex, load_simplex
 
 
@@ -115,6 +118,44 @@ def test_delta_rejects_deeply_nested_json(tmp_path, capsys, text):
     assert "Traceback" not in captured.out + captured.err
 
 
+# 5,000 sevens over 3: past Python's default 4,300-digit limit on int-to-str.
+HUGE_DIGITS = "7" * 5000
+HUGE = Fraction((10**5000 - 1) // 9 * 7, 3)
+
+
+def int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_delta_prints_coefficients_past_the_digit_limit(section2_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ehrhart_coefficients", lambda delta: [Fraction(1), HUGE])
+    limit = int_digit_limit()
+    code, out = run(capsys, "delta", section2_file)
+    assert code == 0 and out.startswith("status ok\n")
+    assert f"\nvolume {HUGE_DIGITS}/3\n" in out and f"\nehrhart_coeffs 1 {HUGE_DIGITS}/3\n" in out
+    code, out = run(capsys, "--json", "delta", section2_file)
+    doc = json.loads(out)
+    assert code == 0 and doc["volume"] == f"{HUGE_DIGITS}/3" and doc["ehrhart_coeffs"] == ["1", f"{HUGE_DIGITS}/3"]
+    assert int_digit_limit() == limit
+
+
+def test_delta_keeps_the_digit_limit_on_input(tmp_path, capsys):
+    path = tmp_path / "huge-coordinate.json"
+    path.write_text('{"ambient_dim": 1, "vertices": [[0], [' + HUGE_DIGITS + "]]}")
+    code, out = run(capsys, "delta", str(path))
+    assert code == 1 and out.startswith("status invalid-input\n")
+
+
+@pytest.mark.parametrize("method", ["box", "counts"])
+def test_delta_budget_refusal_past_the_digit_limit(tmp_path, capsys, method):
+    # Coordinates of 2,201 digits, normalized volume and bounding box past 4,300.
+    path = tmp_path / "huge-volume.json"
+    b = 10**2200
+    dump_simplex(LatticeSimplex([[0, 0, 0], [b, 0, 0], [0, b, 0], [0, 0, 1]]), str(path))
+    code, out = run(capsys, "delta", str(path), "--method", method)
+    assert code == 4 and out.startswith("status budget-exceeded\nerror enumeration needs ")
+
+
 def test_check_exit_codes(capsys):
     assert run(capsys, "check", "1", "0", "1", "0")[0] == 0
     code, out = run(capsys, "check", "1", "0", "1", "0", "0", "1", "0")
@@ -148,6 +189,8 @@ def test_check_rejects_non_integer(capsys):
         ["bogus"],
         [],
         ["check", "1", "0", "--json"],
+        ["realize", "1", "0", "1", "0", "--no-verify"],
+        ["realize", "1", "0", "1", "0", "--verify"],
     ],
     ids=" ".join,
 )
@@ -255,6 +298,21 @@ def test_enumerate_realize_all(capsys):
     code, out = run(capsys, "--json", "enumerate", "--dim", "6", "--realize-all")
     doc = json.loads(out)
     assert code == 0 and doc["realized_failed"] == 0 and doc["realized_ok"] == doc["yes_count"]
+
+
+def test_failed_witness_verification_is_internal_inconsistency(monkeypatch, capsys):
+    # Sum d + 1 > 3: no candidate that realize accepts has this delta.
+    monkeypatch.setattr(realizer, "delta_from_box", lambda s: DeltaVector((1,) * (s.dim + 1)))
+    code, out = run(capsys, "realize", "1", "0", "1", "0")
+    assert code == 5 and out.startswith("status internal-inconsistency\nerror witness verification failed")
+    code, out = run(capsys, "enumerate", "--dim", "3", "--realize-all")
+    assert code == 5 and out.startswith("status internal-inconsistency\n")
+    assert "candidates 1 0 1 0 yes FAILED\n" in out and "\nrealized_ok 0\n" in out
+    code, out = run(capsys, "--json", "enumerate", "--dim", "3", "--realize-all")
+    doc = json.loads(out)
+    assert code == 5 and doc["status"] == "internal-inconsistency"
+    assert doc["realized_failed"] == doc["yes_count"] > 0
+    assert all(row.get("realized") == "FAILED" for row in doc["candidates"] if row["verdict"] == "yes")
 
 
 def test_output_is_deterministic(section2_file, capsys):

@@ -4,9 +4,8 @@ import pytest
 
 from ehrhart import realizer
 from ehrhart.classifier import Decision, Verdict, enumerate_candidates
-from ehrhart.engine import delta_from_box
+from ehrhart.engine import DeltaVector, delta_from_box
 from ehrhart.errors import InternalInconsistencyError, NotRealizableError, OutOfScopeError, ParameterError
-from ehrhart.intlinalg import determinant
 from ehrhart.realizer import (
     construct_lemma_first,
     construct_lemma_second,
@@ -27,7 +26,7 @@ def test_section2_family(d, expected_pos):
     entries = delta_from_box(s).entries
     expected = tuple(1 if i in (0, expected_pos) else 0 for i in range(d + 1))
     assert entries == expected
-    assert abs(determinant(s.lifted_matrix())) == 2
+    assert s.normalized_volume == 2
 
 
 def test_section2_rejects_even_dimension():
@@ -41,7 +40,7 @@ def test_section3_two_family(d):
     entries = delta_from_box(s).entries
     expected = tuple(2 if i == (d + 1) // 2 else (1 if i == 0 else 0) for i in range(d + 1))
     assert entries == expected
-    assert abs(determinant(s.lifted_matrix())) == 3
+    assert s.normalized_volume == 3
 
 
 def test_section3_two_rejects_d1():
@@ -66,7 +65,7 @@ def test_segment_lifted_three_times():
 def test_triangle_111():
     s = construct_triangle_111()
     assert delta_from_box(s).entries == (1, 1, 1)
-    assert abs(determinant(s.lifted_matrix())) == 3
+    assert s.normalized_volume == 3
     lifted = s.pyramid().pyramid().pyramid()
     assert delta_from_box(lifted).entries == (1, 1, 1, 0, 0, 0)
 
@@ -78,7 +77,7 @@ def test_lemma_first_family(k):
     entries = delta_from_box(s).entries
     expected = tuple(1 if i in (0, k + 1, 2 * k + 2) else 0 for i in range(d + 1))
     assert entries == expected
-    assert abs(determinant(s.lifted_matrix())) == 3
+    assert s.normalized_volume == 3
 
 
 def test_lemma_first_rejects_k0():
@@ -95,7 +94,7 @@ def test_lemma_second_family(k, ell):
         1 if i in (0, k + ell + 1, 2 * k + ell + 2) else 0 for i in range(d + 1)
     )
     assert entries == expected
-    assert abs(determinant(s.lifted_matrix())) == 3
+    assert s.normalized_volume == 3
 
 
 def test_lemma_second_rejects_ell0():
@@ -147,9 +146,16 @@ def test_realize_verifies_a_sum3_candidate_at_d400(monkeypatch):
         return delta
 
     monkeypatch.setattr(realizer, "delta_from_box", spy)
-    s, plan = realize(entries, verify=True)
+    s, plan = realize(entries)
     assert recomputed == [tuple(entries)]
     assert s.dim == 400 and plan.parameters["volume"] == 3
+
+
+def test_realize_raises_when_verification_fails(monkeypatch):
+    # Sum d + 1 > 3: no candidate that realize accepts has this delta.
+    monkeypatch.setattr(realizer, "delta_from_box", lambda s: DeltaVector((1,) * (s.dim + 1)))
+    with pytest.raises(InternalInconsistencyError, match="witness verification failed"):
+        realize((1, 0, 1, 0))
 
 
 def test_realize_rejects_no_candidate():
@@ -183,7 +189,7 @@ def test_realize_round_trip_all_yes_candidates(d):
         assert list(s.vertices) == hnf_vertices(b, volume)
         assert s.dim == d and s.ambient_dim == d
         assert delta_from_box(s).entries == cand
-        assert abs(determinant(s.lifted_matrix())) == volume
+        assert s.normalized_volume == volume
 
 
 @pytest.mark.parametrize(
