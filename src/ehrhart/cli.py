@@ -3,8 +3,9 @@
 Four batch subcommands: ``delta`` (delta-vector of a polytope file),
 ``check`` (inequality report and realizability verdict), ``realize``
 (witness construction), ``enumerate`` (candidate table for a dimension).
-Output is line-oriented ``key value`` text, or a JSON document with the same
-information under ``--json``.  Exit codes are fixed per failure class:
+Output is line-oriented ``key value`` text, or under ``--json`` the same
+information as one JSON document on one line.  Exit codes are fixed per
+failure class:
 
     0 ok, 1 invalid-input, 2 not-realizable, 3 out-of-scope,
     4 budget-exceeded, 5 internal-inconsistency
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .classifier import Verdict, enumerate_candidates, is_realizable
@@ -93,7 +95,7 @@ def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         import json
 
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
         return
     for key, value in payload.items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ehrhart",
         description="Exact delta-vector computation, checking, and realization for lattice simplices.",
     )
-    parser.add_argument("--json", action="store_true", help="emit a JSON document instead of key/value lines")
+    parser.add_argument("--json", action="store_true", help="emit a one-line JSON document instead of key/value lines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("delta", help="delta-vector and Ehrhart data of a polytope file")
@@ -283,8 +285,16 @@ def main(argv: list[str] | None = None) -> int:
     out = {"status": _STATUS[code]}
     out.update(payload)
     out["exit_code"] = code
-    with _no_digit_limit():
-        _emit(out, args.json)
+    try:
+        with _no_digit_limit():
+            _emit(out, args.json)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone, e.g. ``| head``.  Point stdout at the null
+        # device so that the interpreter's flush at exit fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

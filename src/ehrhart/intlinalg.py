@@ -120,6 +120,16 @@ def column_forms(rows: Rows) -> ColumnForms:
     )
 
 
+def _axpy(out: dict, src: dict, f: int) -> None:
+    """out += f * src on sparse rows, dropping the entries that cancel."""
+    for c, y in src.items():
+        v = out.get(c, 0) + f * y
+        if v:
+            out[c] = v
+        else:
+            del out[c]
+
+
 def smith_normal_form(m: Rows) -> SnfDecomposition:
     """Diagonalize by unimodular row and column operations.
 
@@ -136,31 +146,19 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
     its column exactly, after which the column operations would only zero
     the rest of its row, and the divisibility pass has nothing to fold in.
     So the unit step is the row operations and a zeroed row tail.
+
+    The work runs on sparse rows ``{column: value}`` that hold no zeros.
+    Columns keep their original keys: ``perm[p]`` is the column at position
+    p and ``pos`` its inverse, so a column swap touches two entries.  Rows
+    from slot t on are zero at every position before t, so a row's entries
+    are exactly its remaining submatrix entries; ties within a row go to the
+    least position, never to dict order.
     """
     n = _require_square(m, "smith_normal_form")
-    a = [list(row) for row in m]
-    left = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        # row[dst] += f * row[src]
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(src, dst, f):
-        for row in a:
-            row[dst] += f * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
+    a = [{j: x for j, x in enumerate(row) if x} for row in m]
+    left = [{i: 1} for i in range(n)]
+    perm = list(range(n))
+    pos = list(range(n))
 
     for t in range(n):
         while True:
@@ -169,57 +167,87 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
             least = 0
             for i in range(t, n):
                 row = a[i]
-                for j in range(t, n):
-                    x = abs(row[j])
-                    if x and (best is None or x < least):
-                        best, least = (i, j), x
-                        if x == 1:
-                            break
-                if least == 1:
-                    break
+                if not row:
+                    continue
+                x = min(map(abs, row.values()))
+                if best is None or x < least:
+                    least = x
+                    best = i
+                    if x == 1:
+                        break
             if best is None:
                 break
-            bi, bj = best
-            if bi != t:
-                swap_rows(t, bi)
+            if best != t:
+                a[t], a[best] = a[best], a[t]
+                left[t], left[best] = left[best], left[t]
+            top = a[t]
+            if len(top) == 1:
+                bj = pos[next(iter(top))]
+            else:
+                bj = min(pos[c] for c, y in top.items() if y == least or y == -least)
             if bj != t:
-                swap_cols(t, bj)
-            piv = a[t][t]
+                perm[t], perm[bj] = perm[bj], perm[t]
+                pos[perm[t]], pos[perm[bj]] = t, bj
+            ct = perm[t]
+            piv = top[ct]
+            ltop = left[t]
             if least == 1:
+                # With piv = +-1, adding -f * piv times row t cancels the
+                # entry f; when row t holds nothing else, that is all it does.
+                single = len(top) == 1
                 for i in range(t + 1, n):
-                    if a[i][t] != 0:
-                        add_row(t, i, -a[i][t] * piv)
-                a[t][t + 1 :] = [0] * (n - t - 1)
+                    row = a[i]
+                    f = row.get(ct)
+                    if f:
+                        f *= -piv
+                        if single:
+                            del row[ct]
+                        else:
+                            _axpy(row, top, f)
+                        _axpy(left[i], ltop, f)
+                a[t] = {ct: piv}
                 break
             done = True
             for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    q = a[i][t] // piv
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
+                row = a[i]
+                f = row.get(ct)
+                if f:
+                    f = -(f // piv)
+                    _axpy(row, top, f)
+                    _axpy(left[i], ltop, f)
+                    if ct in row:
                         done = False
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // piv
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        done = False
+            # Column cj -= (f // piv) * column ct for each entry f of row t
+            # leaves row t with the remainders f % piv, and changes only the
+            # other rows that hold ct.
+            if len(top) > 1:
+                cols = {cj: -(f // piv) for cj, f in top.items() if cj != ct}
+                rest = {cj: r for cj, f in top.items() if cj != ct and (r := f % piv)}
+                if rest:
+                    done = False
+                rest[ct] = piv
+                a[t] = top = rest
+                for row in a[t + 1 :]:
+                    y = row.get(ct)
+                    if y:
+                        _axpy(row, cols, y)
             if not done:
                 continue
             # Pivot must divide every remaining entry; if not, fold the
             # offending row in and restart the reduction at this slot.
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if a[i][j] % piv != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, n) if any(x % piv for x in a[i].values())), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
-        if t < n and a[t][t] < 0:
-            negate_row(t)
+            _axpy(top, a[offender], 1)
+            _axpy(ltop, left[offender], 1)
+        if a[t].get(perm[t], 0) < 0:
+            a[t] = {c: -x for c, x in a[t].items()}
+            left[t] = {c: -x for c, x in left[t].items()}
 
-    return SnfDecomposition(left=left, diag=tuple(a[i][i] for i in range(n)))
+    dense = []
+    for row in left:
+        out = [0] * n
+        for c, x in row.items():
+            out[c] = x
+        dense.append(out)
+    return SnfDecomposition(left=dense, diag=tuple(a[i].get(perm[i], 0) for i in range(n)))

@@ -330,6 +330,91 @@ def test_json_and_kv_carry_same_delta(section2_file, capsys):
     assert doc["exit_code"] == 0
 
 
+def fail_witness_verification(monkeypatch):
+    monkeypatch.setattr(realizer, "delta_from_box", lambda s: DeltaVector((1,) * (s.dim + 1)))
+
+
+def disagree_with_the_box_route(monkeypatch):
+    monkeypatch.setattr(cli, "delta_from_counts", lambda counts, d: DeltaVector((1,) + (0,) * d))
+
+
+# Every subcommand at every exit status it can reach, and usage errors.
+# "{s2}" stands for the section-2 witness file, "{dir}" for a directory.
+JSON_CASES = [
+    (["delta", "{s2}"], 0, None),
+    (["delta", "{s2}", "--method", "both"], 0, None),
+    (["delta", "{dir}/missing.json"], 1, None),
+    (["delta", "{s2}", "--budget", "1"], 4, None),
+    (["delta", "{s2}", "--method", "both"], 5, disagree_with_the_box_route),
+    (["check", "1", "0", "1", "0"], 0, None),
+    (["check", "1", "x"], 1, None),
+    (["check", "1", "1", "0", "0", "1"], 2, None),
+    (["check", "1", "1", "1", "1"], 3, None),
+    (["realize", "1", "0", "0", "1", "0", "1", "0", "0", "0", "0"], 0, None),
+    (["realize", "1", "0", "1", "0", "--out", "{dir}/w.json"], 0, None),
+    (["realize", "1", "0", "0", "0", "--out", "{dir}"], 1, None),
+    (["realize", "1", "1", "0", "0", "1"], 2, None),
+    (["realize", "1", "1", "1", "1"], 3, None),
+    (["realize", "1", "0", "1", "0"], 5, fail_witness_verification),
+    (["enumerate", "--dim", "5", "--realize-all"], 0, None),
+    (["enumerate", "--dim", "2"], 3, None),
+    (["enumerate", "--dim", "3", "--realize-all"], 5, fail_witness_verification),
+    (["enumerate", "--dim", "abc"], 1, None),
+    ([], 1, None),
+]
+
+
+def case_id(value):
+    return " ".join(value) or "no-command" if isinstance(value, list) else None
+
+
+@pytest.mark.parametrize("argv,code,patch", JSON_CASES, ids=case_id)
+def test_json_output_is_one_line_per_command(argv, code, patch, section2_file, tmp_path, capsys, monkeypatch):
+    if patch is not None:
+        patch(monkeypatch)
+    payloads = []
+    emit = cli._emit
+
+    def spy(payload, as_json):
+        payloads.append(payload)
+        emit(payload, as_json)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    argv = [a.format(s2=section2_file, dir=tmp_path) for a in argv]
+    got, out = run(capsys, "--json", *argv)
+    assert got == code
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert [doc] == payloads
+    assert doc["status"] == cli._STATUS[code] and doc["exit_code"] == code
+
+
+CLOSED_PIPE_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from ehrhart.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_closed_output_pipe_prints_no_traceback(json_flag):
+    # Some 260 kB of output, far more than a pipe buffers, so the writer
+    # meets the closed pipe while it still has output to write.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CLOSED_PIPE_PROBE, src, *json_flag, "enumerate", "--dim", "60"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline() if not json_flag else proc.stdout.read(64)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert first.startswith(b"status ok\n" if not json_flag else b'{"status": "ok"')
+    assert err == b""
+
+
 small_or_huge = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
 coordinates = st.one_of(
     small_or_huge,

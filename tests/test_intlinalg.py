@@ -335,6 +335,40 @@ def test_snf_of_the_unit_simplex_at_d300():
     assert smith_normal_form(m).diag == (1,) * 301
 
 
+def test_snf_breaks_pivot_ties_by_position_not_by_dict_order():
+    # Slot 0 takes the unit in row 2, column 2, and swaps columns 0 and 2.
+    # At slot 1 the row (-2, 2, 0) holds two entries of least magnitude:
+    # column 0, now at position 2 but first in its row's dict, and column 1
+    # at position 1.  The pivot is the one at the lesser position.
+    m = [[-2, 2, 0], [0, 0, 0], [0, 0, 1]]
+    snf = smith_normal_form(m)
+    assert snf == reference_smith_normal_form(m)
+    assert snf == SnfDecomposition(left=[[0, 0, 1], [1, 0, 0], [0, 1, 0]], diag=(1, 2, 0))
+
+
+def sum_candidate(d, *extras):
+    """delta = (1, 0, ..., 0) with one more 1 at each of the given indices."""
+    entries = [1] + [0] * d
+    for i in extras:
+        entries[i] += 1
+    return entries
+
+
+@pytest.mark.parametrize("extras", [(100,), (67, 133)], ids=["sum2", "sum3"])
+def test_snf_matches_the_reference_on_witnesses_at_d200(extras):
+    m = realize(sum_candidate(200, *extras))[0].lifted_matrix()
+    assert smith_normal_form(m) == reference_smith_normal_form(m)
+
+
+def test_snf_of_the_sum3_witness_at_d1404():
+    # realize re-verifies the witness through the box route, SNF included.
+    s, plan = realize(sum_candidate(1404, 468, 936))
+    assert plan.parameters["volume"] == 3 == s.normalized_volume
+    snf = smith_normal_form(s.lifted_matrix())
+    assert snf.diag == (1,) * 1404 + (3,)
+    assert math.prod(snf.diag) == s.normalized_volume
+
+
 def test_solve_identity():
     assert solve_rational(identity(2), [3, 4]) == (3, 4)
 
