@@ -7,6 +7,9 @@ Two independent routes are provided on purpose:
   off the left transform of the Smith normal form of the lifted vertex
   matrix with integer arithmetic only.  It scales with the normalized
   volume, not the dimension, so it handles the large-d constructed simplices.
+  Each numerator vector of the box group is one packed int, w =
+  D_max.bit_length() + 1 bits per coordinate, so a step to the next box
+  point is one add, one mask and one popcount, whatever d is.
 * ``count_points`` counts the lattice points of a dilate without the Smith
   normal form: one fraction-free elimination gives integer forms for the
   barycentric weights, and the bounding box is scanned one line along the
@@ -91,16 +94,22 @@ class BoxPoint(NamedTuple):
     coefficients: tuple[Fraction, ...]
 
 
-def _box_numerators(s: LatticeSimplex, budget: int) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """(D_max, numerators c) with the box points' weights equal to c / D_max.
+def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[int, int]]]:
+    """(D_max, w, walk): the walk yields, lazily, every box point as its
+    numerator vector c packed into one int, with the sum of its fields.
 
     The box group is Z^(d+1) modulo the row lattice of the lifted matrix m.
     With ``U m V = D`` its weight vectors are frac(sum_i (w_i / D_i) U_i) for
     w_i in [0, D_i) (Beck-Robins, ch. 3), so each numerator is an integer sum
-    of the rows (D_max / D_i) U_i taken modulo D_max.  Only invariant factors
-    D_i > 1 contribute.  The group order is the normalized volume kept from
-    construction, refused above the budget before the Smith normal form runs;
-    the invariant factors must multiply to it.  Numerators come lazily.
+    of the rows (D_max / D_i) U_i taken modulo D_max, and the box point's
+    weights are c / D_max.  Only invariant factors D_i > 1 contribute.  The
+    group order is the normalized volume kept from construction, refused
+    above the budget before the Smith normal form runs; the invariant
+    factors must multiply to it.
+
+    Coordinate c_j sits in bits [j w, (j + 1) w) of the packed int, with
+    w = D_max.bit_length() + 1, one bit more than a field in [0, D_max)
+    needs (see ``_walk``).
     """
     volume = s.normalized_volume
     if volume > budget:
@@ -110,35 +119,67 @@ def _box_numerators(s: LatticeSimplex, budget: int) -> tuple[int, Iterator[tuple
     if math.prod(snf.diag) != volume:
         raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
     dmax = snf.diag[-1]
-    orders = []
-    gens = []
-    for i, di in enumerate(snf.diag):
-        if di > 1:
-            orders.append(di)
-            gens.append(tuple(dmax // di * u % dmax for u in snf.left[i]))
+    w = dmax.bit_length() + 1
     # Membership c m = 0 (mod D_max) is linear, so checking the generators
     # covers every numerator they generate.
     columns = list(zip(*m))
-    for g in gens:
-        if any(sum(map(operator.mul, g, col)) % dmax for col in columns):
-            raise InternalInconsistencyError(f"weight generator {g}/{dmax} is not a box point")
+    levels = []
+    for i, di in enumerate(snf.diag):
+        if di > 1:
+            g = [dmax // di * u % dmax for u in snf.left[i]]
+            if any(sum(map(operator.mul, g, col)) % dmax for col in columns):
+                raise InternalInconsistencyError(f"weight generator {g}/{dmax} is not a box point")
+            packed = 0
+            for x in reversed(g):
+                packed = packed << w | x
+            levels.append((packed, sum(g), di))
+    ones = ((1 << w * len(m)) - 1) // ((1 << w) - 1)
+    k = ones * ((1 << w - 1) - dmax)
+    high = ones << w - 1
+    # Without invariant factors > 1 the group is trivial: one level of one
+    # step walks its one point, c = 0.
+    return dmax, w, _walk(levels or [(0, 0, 1)], 0, 0, 0, dmax, k, high)
 
-    def walk(level: int, c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if level == len(gens):
-            yield c
-            return
-        g = gens[level]
-        for _ in range(orders[level]):
-            yield from walk(level + 1, c)
-            c = tuple((a + b) % dmax for a, b in zip(c, g))
 
-    return dmax, walk(0, (0,) * len(m))
+def _walk(
+    levels: list[tuple[int, int, int]], level: int, c: int, total: int, dmax: int, k: int, high: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (c, sum of the fields of c) for every point of the box group
+    from ``level`` on, starting at c.  ``levels`` holds one (packed
+    generator g, sum(g), order) per invariant factor > 1.
+
+    One step adds g, whose fields are below D_max, so every field stays
+    below 2 D_max <= 2^w and no carry crosses fields.  Adding
+    k = 2^(w-1) - D_max to every field sets bit w - 1 exactly in the fields
+    that reached D_max; the mask ``high`` picks those bits, and D_max is
+    taken off every such field at once.  The field sum moves by sum(g) less
+    D_max per field reduced.  A level is back at its start after its
+    ``order`` steps, since order * g = 0 (mod D_max); anything else is an
+    arithmetic fault.  Each level but the innermost recurses into the next
+    once per step; the innermost yields from a plain loop, so no generator
+    is made per point.
+    """
+    g, step, order = levels[level]
+    inner = level + 1 < len(levels)
+    shift = dmax.bit_length()
+    start = c, total
+    for _ in range(order):
+        if inner:
+            yield from _walk(levels, level + 1, c, total, dmax, k, high)
+        else:
+            yield c, total
+        c += g
+        h = (c + k) & high
+        c -= (h >> shift) * dmax
+        total += step - dmax * h.bit_count()
+    if (c, total) != start:
+        raise InternalInconsistencyError(f"box walk level {level} is not back at its start after {order} steps")
 
 
-def _degree(c: tuple[int, ...], dmax: int) -> int:
-    degree, rest = divmod(sum(c), dmax)
+def _degree(total: int, dmax: int) -> int:
+    degree, rest = divmod(total, dmax)
     if rest:
-        raise InternalInconsistencyError(f"weights {c}/{dmax} do not sum to an integer")
+        raise InternalInconsistencyError(f"weights summing to {total}/{dmax} do not sum to an integer")
     return degree
 
 
@@ -150,10 +191,12 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
     """
     from fractions import Fraction
 
-    dmax, numerators = _box_numerators(s, budget)
+    dmax, w, walk = _box_walk(s, budget)
+    mask = (1 << w) - 1
     columns = list(zip(*s.lifted_matrix()))
     pts = []
-    for c in numerators:
+    for packed, total in walk:
+        c = [packed >> j * w & mask for j in range(len(columns))]
         point = []
         for col in columns:
             x, rest = divmod(sum(a * b for a, b in zip(c, col)), dmax)
@@ -163,7 +206,7 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
         pts.append(
             BoxPoint(
                 point=tuple(point),
-                degree=_degree(c, dmax),
+                degree=_degree(total, dmax),
                 coefficients=tuple(Fraction(x, dmax) for x in c),
             )
         )
@@ -176,10 +219,10 @@ def delta_from_box(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> DeltaVect
 
     Raises BudgetExceededError when the normalized volume exceeds ``budget``.
     """
-    dmax, numerators = _box_numerators(s, budget)
+    dmax, _, walk = _box_walk(s, budget)
     entries = [0] * (s.dim + 1)
-    for c in numerators:
-        entries[_degree(c, dmax)] += 1
+    for _, total in walk:
+        entries[_degree(total, dmax)] += 1
     return DeltaVector(tuple(entries))
 
 

@@ -1,16 +1,21 @@
 """Engine tests: box enumeration against a brute-force oracle, counting,
 binomial transforms, reciprocity."""
 
+import gc
 import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from box_reference import reference_box_points, reference_delta
 from ehrhart import engine
+from ehrhart.classifier import Verdict, enumerate_candidates
+from ehrhart.cli import main
 from ehrhart.engine import (
     binomial_poly,
     box_points,
@@ -27,11 +32,12 @@ from ehrhart.errors import (
     DegenerateSimplexError,
     DimensionError,
     InconsistentCountsError,
+    InternalInconsistencyError,
     SingularMatrixError,
 )
-from ehrhart.intlinalg import smith_normal_form
-from ehrhart.realizer import construct_lemma_first, construct_section2
-from ehrhart.simplex import LatticeSimplex, unit_simplex
+from ehrhart.intlinalg import SnfDecomposition, smith_normal_form
+from ehrhart.realizer import construct_lemma_first, construct_section2, realize
+from ehrhart.simplex import LatticeSimplex, dump_simplex, unit_simplex
 from rational_oracle import solve_rational
 
 
@@ -110,8 +116,15 @@ simplices = st.integers(2, 3).flatmap(
 )
 
 
+def assert_box_route_matches_the_reference(s):
+    pts = box_points(s)
+    assert pts == reference_box_points(s)
+    assert delta_from_box(s).entries == reference_delta(s)
+    return pts
+
+
 def test_box_points_unit_simplex():
-    pts = box_points(unit_simplex(4))
+    pts = assert_box_route_matches_the_reference(unit_simplex(4))
     assert len(pts) == 1
     assert pts[0].degree == 0
     assert pts[0].point == (0, 0, 0, 0, 0)
@@ -135,7 +148,7 @@ def test_box_points_lemma31_degrees():
 def test_box_points_match_oracle_on_random_simplices(verts):
     s = random_simplex(verts)
     assume(s is not None)
-    pts = box_points(s)
+    pts = assert_box_route_matches_the_reference(s)
     assert sorted((p.point, p.degree) for p in pts) == brute_force_box_points(s)
     assert pts == sorted(pts, key=lambda p: (p.degree, p.point))
     m = s.lifted_matrix()
@@ -218,7 +231,129 @@ def test_delta_from_box_of_join_with_two_invariant_factors(p_verts, q_verts):
     delta_q = delta_from_box(LatticeSimplex(q_verts)).entries
     expected = tuple(poly_mul(delta_p, delta_q)) + (0,)
     assert delta_from_box(s).entries == expected
-    assert sorted((p.point, p.degree) for p in box_points(s)) == brute_force_box_points(s)
+    assert sorted((p.point, p.degree) for p in assert_box_route_matches_the_reference(s)) == brute_force_box_points(s)
+
+
+# Joins beyond test_delta_from_box_of_join_with_two_invariant_factors.
+JOINS = {
+    "Z4xZ12": (join(hnf_cyclic_simplex([1], 4).vertices, hnf_cyclic_simplex([5], 12).vertices), 2),
+    "Z2xZ2xZ2": (join(join([[0], [2]], [[0], [2]]).vertices, [[0], [2]]), 3),
+    "Z2xZ4xZ8": (join(join([[0], [2]], [[0], [4]]).vertices, hnf_cyclic_simplex([3], 8).vertices), 3),
+    "Z3xZ3xZ9": (join(join([[0, 0], [2, 1], [1, 2]], [[0], [3]]).vertices, [[0], [9]]), 3),
+}
+
+
+@pytest.mark.parametrize("name", JOINS)
+def test_box_route_matches_the_reference_walk_on_joins(name):
+    s, levels = JOINS[name]
+    assert sum(x > 1 for x in smith_normal_form(s.lifted_matrix()).diag) == levels
+    assert_box_route_matches_the_reference(s)
+
+
+def all_equal_generator_simplex(dmax, sign):
+    """A d = dmax - 1 simplex whose box group is generated by the weights
+    (1, ..., 1) / dmax; the reflected copy (sign -1) gets the generator
+    (dmax - 1, ..., dmax - 1) / dmax from the Smith normal form."""
+    d = dmax - 1
+    verts = [[0] * d] + [[int(j == i) for j in range(d)] for i in range(d - 1)] + [[dmax - 1] * (d - 1) + [dmax]]
+    return LatticeSimplex([[sign * x for x in v] for v in verts])
+
+
+# D_max = 2^1 - 1 = 1, the trivial group, is test_box_points_unit_simplex.
+FIELD_EDGES = sorted({e for k in range(1, 7) for e in (2**k - 1, 2**k, 2**k + 1)} - {1})
+
+
+@pytest.mark.parametrize("dmax", FIELD_EDGES)
+def test_box_route_matches_the_reference_walk_at_field_width_edges(dmax):
+    """D_max at and next to powers of two, where w = D_max.bit_length() + 1
+    changes: every field of the packed vector reaches D_max at once."""
+    for sign, top in ((1, 1), (-1, dmax - 1)):
+        s = all_equal_generator_simplex(dmax, sign)
+        snf = smith_normal_form(s.lifted_matrix())
+        assert snf.diag[-1] == dmax and math.prod(snf.diag) == dmax
+        assert set(snf.left[-1][j] % dmax for j in range(dmax)) == {top}
+        pts = assert_box_route_matches_the_reference(s)
+        assert len(pts) == dmax
+        assert any(set(p.coefficients) == {Fraction(dmax - 1, dmax)} for p in pts)
+    # Two cyclic simplices with random generators and the same D_max.
+    rng = random.Random(f"edges/{dmax}")
+    for d in (2, 5):
+        assert_box_route_matches_the_reference(hnf_cyclic_simplex([rng.randrange(dmax) for _ in range(d - 1)], dmax))
+
+
+@pytest.mark.parametrize("d", range(3, 41))
+def test_box_route_matches_the_reference_walk_on_every_witness(d):
+    for cand, decision in enumerate_candidates(d):
+        if decision.verdict is Verdict.YES:
+            assert_box_route_matches_the_reference(realize(cand)[0])
+
+
+def test_box_route_matches_the_reference_walk_at_d40_volume_100003():
+    rng = random.Random("large")
+    s = hnf_cyclic_simplex([rng.randrange(100_003) for _ in range(39)], 100_003)
+    expected = reference_delta(s)
+    assert delta_from_box(s).entries == expected
+    assert sum(expected) == 100_003
+
+
+@pytest.mark.parametrize(
+    "s",
+    [hnf_cyclic_simplex([3, 5, 0], 211), JOINS["Z4xZ12"][0]],
+    ids=["cyclic", "two-factor-join"],
+)
+def test_box_route_leaves_no_reference_cycle(s):
+    gc.collect()
+    gc.disable()
+    try:
+        delta_from_box(s)
+        after_delta = gc.collect()
+        box_points(s)
+        after_points = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_delta, after_points) == (0, 0)
+
+
+def wrong_product(snf):
+    return SnfDecomposition(snf.left, snf.diag[:-1] + (2 * snf.diag[-1],))
+
+
+def generator_off_the_box(snf):
+    """The first row with an invariant factor > 1, plus the first unit vector:
+    the last column of the lifted matrix is all ones, so the generator's
+    weights no longer sum to an integer."""
+    i = next(i for i, x in enumerate(snf.diag) if x > 1)
+    left = [list(row) for row in snf.left]
+    left[i][0] += 1
+    return SnfDecomposition(left, snf.diag)
+
+
+def orders_off_the_generators(snf):
+    """Z/6 read as Z/2 x Z/3 with both generators from the order-6 row: the
+    factors still multiply to the volume and the generators are box points
+    mod 3, but two steps of the order-2 level do not bring it back."""
+    assert snf.diag[-2:] == (1, 6)
+    left = [list(row) for row in snf.left]
+    left[-2] = list(left[-1])
+    return SnfDecomposition(left, snf.diag[:-2] + (2, 3))
+
+
+@pytest.mark.parametrize("tamper", [wrong_product, generator_off_the_box, orders_off_the_generators])
+def test_box_route_consistency_checks(monkeypatch, tmp_path, capsys, tamper):
+    s = hnf_cyclic_simplex([1, 2], 6)
+    assert delta_from_box(s).entries == reference_delta(s)
+    monkeypatch.setattr(engine, "smith_normal_form", lambda m: tamper(smith_normal_form(m)))
+    with pytest.raises(InternalInconsistencyError):
+        delta_from_box(s)
+    with pytest.raises(InternalInconsistencyError):
+        box_points(s)
+    path = tmp_path / "cyclic.json"
+    dump_simplex(s, str(path))
+    capsys.readouterr()
+    assert main(["delta", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out.startswith("status internal-inconsistency\n")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_box_route_budget_is_enforced():
