@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -112,8 +113,11 @@ def inequality_report(entries: Sequence[int]) -> InequalityReport:
 
 def is_realizable(entries: Sequence[int]) -> Decision:
     """Decide whether the candidate is the delta-vector of some integral
-    polytope of dimension d = len - 1; complete only for sum <= 3, d >= 3."""
-    entries = tuple(int(e) for e in entries)
+    polytope of dimension d = len - 1; complete only for sum <= 3, d >= 3.
+
+    Raises TypeError for an entry that is not an integer (``operator.index``:
+    0.5 or '3' is refused, never truncated or parsed)."""
+    entries = tuple(map(index, entries))
     d = len(entries) - 1
     total = sum(entries)
     if d < 3:

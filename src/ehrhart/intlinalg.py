@@ -2,11 +2,11 @@
 
 Everything here runs on Python's arbitrary-precision integers, so
 intermediate growth can never overflow.  Matrices are plain sequences of
-integer rows.  The one elimination is a fraction-free Gauss-Jordan
-elimination; its views give the column rank profile with the last pivot, and
-integer forms that read off exact solutions and membership in the column
-space.  Beside it sits a Smith normal form that keeps only its left
-transform.
+integer rows.  The one elimination is fraction-free (Bareiss).  Its views
+give the column rank profile with the last pivot, from a sweep of the rows
+that hold no pivot yet, and integer forms that read off exact solutions and
+membership in the column space, from a Gauss-Jordan sweep of every row.
+Beside it sits a Smith normal form that keeps only its left transform.
 """
 from __future__ import annotations
 
@@ -37,19 +37,26 @@ class SnfDecomposition(NamedTuple):
     diag: tuple[int, ...]
 
 
-def _gauss_jordan(a: list[Sequence[int]], k: int) -> tuple[list[int], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of the rows ``a`` on their
-    first k columns, replacing the items of ``a`` (no row is mutated).
+def _eliminate(a: list[Sequence[int]], k: int, jordan: bool) -> tuple[list[int], list[int], int]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the rows
+    ``a`` on their first k columns, replacing the items of ``a`` (no row is
+    mutated).
 
-    Each step replaces every other row by (p * row - f * pivot_row) / prev,
-    where p is the new pivot, f the row's entry in the pivot column and prev
-    the previous pivot.  By Sylvester's identity the division is exact and
-    every entry stays a minor of the input, so entries never grow beyond
-    them.  A column with no nonzero entry outside the pivot rows depends on
-    the columns before it and gets no pivot.  At the end every pivot row
-    reads ``last * e_c`` on the first k columns, ``last`` being the last
-    pivot, and every other row is zero there.  Returns (pivot columns, their
-    rows, last pivot).
+    Each step takes the first free row, one that holds no pivot yet, with a
+    nonzero entry in the column as the pivot row, and replaces every other
+    swept row by (p * row - f * pivot_row) / prev, where p is the new pivot,
+    f the row's entry in the pivot column and prev the previous pivot.  By
+    Sylvester's identity the division is exact and every entry stays a minor
+    of the input, so entries never grow beyond them.  A column with no
+    nonzero entry in a free row depends on the columns before it and gets no
+    pivot.  Returns (pivot columns, their rows, last pivot).
+
+    The swept rows are the free rows, and with ``jordan`` also the pivot
+    rows.  A free row gets the same updates either way, so the pivots and
+    the last pivot do not depend on ``jordan``.  With it (Gauss-Jordan) every
+    pivot row reads ``last * e_c`` on the first k columns at the end, and
+    every other row is zero there; without it the pivot rows are left as
+    they were when they took their pivot.
     """
     free = list(range(len(a)))
     pivots = []
@@ -62,9 +69,8 @@ def _gauss_jordan(a: list[Sequence[int]], k: int) -> tuple[list[int], list[int],
         free.remove(r)
         top = a[r]
         p = top[c]
-        for i, row in enumerate(a):
-            if i == r:
-                continue
+        for i in pivot_rows + free if jordan else free:
+            row = a[i]
             f = row[c]
             if f != 0:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
@@ -79,9 +85,10 @@ def _gauss_jordan(a: list[Sequence[int]], k: int) -> tuple[list[int], list[int],
 def column_pivots(rows: Rows) -> tuple[tuple[int, ...], int]:
     """The columns of the matrix with these rows that are independent of the
     columns before them, and the last pivot: ± the determinant when the
-    matrix is square and nonsingular."""
+    matrix is square and nonsingular.  Only the free rows are swept: nothing
+    here reads the pivot rows afterwards."""
     width = len(rows[0]) if rows else 0
-    pivots, _, last = _gauss_jordan(list(rows), width)
+    pivots, _, last = _eliminate(list(rows), width, jordan=False)
     return tuple(pivots), last
 
 
@@ -99,7 +106,7 @@ class ColumnForms(NamedTuple):
 
 def column_forms(rows: Rows) -> ColumnForms:
     """Forms of the matrix m with these rows, from one fraction-free
-    elimination of ``[m | I]``.
+    Gauss-Jordan elimination of ``[m | I]``.
 
     The elimination multiplies ``[m | I]`` on the left by an invertible T
     with T m = (den * I; 0) up to the order of the rows, so the identity part
@@ -109,7 +116,7 @@ def column_forms(rows: Rows) -> ColumnForms:
     size = len(rows)
     width = len(rows[0]) if rows else 0
     a = [list(r) + [int(i == j) for j in range(size)] for i, r in enumerate(rows)]
-    pivots, pivot_rows, last = _gauss_jordan(a, width)
+    pivots, pivot_rows, last = _eliminate(a, width, jordan=True)
     if len(pivots) < width:
         raise SingularMatrixError("columns are linearly dependent")
     sign = -1 if last < 0 else 1

@@ -10,6 +10,7 @@ recomputing its delta-vector; nothing relies on the formulas being right.
 """
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .classifier import Verdict, is_realizable
@@ -181,9 +182,12 @@ def realize(entries) -> tuple[LatticeSimplex, ConstructionPlan]:
 
     The delta-vector is always recomputed from the witness by the box route
     and must match the candidate exactly; a mismatch raises
-    InternalInconsistencyError.
+    InternalInconsistencyError.  A NO candidate raises NotRealizableError,
+    one outside the classified range OutOfScopeError, and an entry that is
+    not an integer TypeError (``operator.index``: 0.5 or '3' is refused,
+    never truncated or parsed).
     """
-    entries = tuple(int(e) for e in entries)
+    entries = tuple(map(index, entries))
     decision = is_realizable(entries)
     if decision.verdict is Verdict.OUT_OF_SCOPE:
         raise OutOfScopeError(decision.reason)

@@ -1,15 +1,17 @@
 """Integral lattice simplices: validation, membership, pyramid lifting, IO.
 
 A simplex is stored as its vertex list.  Its construction eliminates the
-vertex columns (v_j, 1) once, fraction-free, to check affine independence;
-the last pivot is ± the normalized volume.  On first use the same columns
-beside an identity give integer linear forms, kept, whose values at (p, n)
-are the barycentric weights of p in the dilate nP times a common positive
-denominator, plus equalities that cut out the affine span; membership in a
-dilate is a sign test on integer dot products.
+vertex columns (v_j, 1) once, fraction-free and sweeping only the rows that
+hold no pivot yet, to check affine independence; the last pivot is ± the
+normalized volume.  On first use the same columns beside an identity,
+eliminated Gauss-Jordan, give integer linear forms, kept, whose values at
+(p, n) are the barycentric weights of p in the dilate nP times a common
+positive denominator, plus equalities that cut out the affine span;
+membership in a dilate is a sign test on integer dot products.
 """
 from __future__ import annotations
 
+from operator import index
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateSimplexError, DimensionError
@@ -25,9 +27,13 @@ class LatticeSimplex:
     __slots__ = ("ambient_dim", "vertices", "dim", "_volume", "_forms")
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
+        """Raises DimensionError for no vertices or mixed lengths,
+        DegenerateSimplexError for affinely dependent vertices, and TypeError
+        for an entry that is not an integer (``operator.index``: 0.5 or '3'
+        is refused, never truncated or parsed)."""
         if len(vertices) < 1:
             raise DimensionError("a simplex needs at least one vertex")
-        verts = tuple(tuple(map(int, v)) for v in vertices)
+        verts = tuple(tuple(map(index, v)) for v in vertices)
         n = len(verts[0])
         if any(len(v) != n for v in verts):
             raise DimensionError("vertices have mixed ambient dimensions")
@@ -44,9 +50,9 @@ class LatticeSimplex:
         self._forms = None
 
     def _weight_rows(self) -> list[list[int]]:
-        # The matrix whose column j is (v_j, 1).
-        k = len(self.vertices)
-        return [[v[i] for v in self.vertices] for i in range(self.ambient_dim)] + [[1] * k]
+        # The matrix whose column j is (v_j, 1).  map, not a comprehension:
+        # zip reuses its row tuple only when nothing else still holds it.
+        return list(map(list, zip(*self.vertices))) + [[1] * len(self.vertices)]
 
     def weight_forms(self) -> ColumnForms:
         """Integer forms for the barycentric weights of points of dilates.

@@ -86,6 +86,13 @@ def test_realizable_out_of_scope_low_dimension():
     assert is_realizable(()) == Decision(Verdict.OUT_OF_SCOPE, "dimension -1 < 3 is outside the classified range")
 
 
+@pytest.mark.parametrize("entries", [(1, 0, 0, 0.5), (1, 0, 2.9, 0), (1, "3", 0, 0)])
+def test_realizable_refuses_non_integer_entries(entries):
+    # int() would truncate 0.5 and 2.9 and parse '3', and decide another candidate.
+    with pytest.raises(TypeError):
+        is_realizable(entries)
+
+
 def test_enumerate_d3_sum2():
     yes = [c for c, dec in enumerate_candidates(3, 2) if dec.verdict is Verdict.YES]
     assert yes == [(1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0)]

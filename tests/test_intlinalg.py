@@ -1,6 +1,7 @@
 """The fraction-free elimination's views (column pivots with the last pivot,
 column forms) and the Smith normal form against small oracles: cofactor
-determinants and ranks, the tests' rational solver and a reference SNF."""
+determinants and ranks, the tests' rational solver, the Gauss-Jordan
+reference elimination and a reference SNF."""
 
 import itertools
 import math
@@ -13,9 +14,17 @@ from hypothesis import strategies as st
 
 from ehrhart.classifier import Verdict, enumerate_candidates
 from ehrhart.errors import DimensionError, SingularMatrixError
-from ehrhart.intlinalg import SnfDecomposition, _require_square, column_forms, column_pivots, smith_normal_form
+from ehrhart.intlinalg import (
+    ColumnForms,
+    SnfDecomposition,
+    _require_square,
+    column_forms,
+    column_pivots,
+    smith_normal_form,
+)
 from ehrhart.realizer import realize
 from ehrhart.simplex import unit_simplex
+from elimination_reference import reference_column_forms, reference_column_pivots
 from rational_oracle import solve_rational
 
 # Edge matrices of the two volume constructions (vertex rows with v_0 = 0).
@@ -478,3 +487,44 @@ def test_column_forms_cut_out_the_column_space(rows, ys):
     z = ys[k : k + m]
     inside = rank(columns + [z], m) == k
     assert inside == all(sum(a * b for a, b in zip(e, z)) == 0 for e in cf.equalities)
+
+
+# Any shape up to 7 x 7 with planted dependence: up to three rows or columns
+# that are integer combinations of two others, inserted anywhere.  Both
+# coefficients are 0 about one time in nine, which plants a zero row or
+# column.
+coefficient = st.sampled_from([0, 0, 1, -1, 2, -3])
+
+
+@st.composite
+def planted_matrix(draw):
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 3))):
+        by_column = draw(st.booleans())
+        if by_column:
+            rows = transpose(rows)
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        f, g = draw(coefficient), draw(coefficient)
+        rows.insert(draw(st.integers(0, len(rows))), [f * x + g * y for x, y in zip(rows[i], rows[j])])
+        if by_column:
+            rows = transpose(rows)
+    return rows
+
+
+@given(st.one_of(planted_matrix(), sparse_matrix, tall_matrix))
+@settings(max_examples=400, deadline=None)
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, 2, 4], [0, 0, 0], [0, 3, 6]])
+@example([[2, 1, 0], [0, 1, 1], [0, 0, 1]])
+@example([[1, 1], [1, 2]])
+@example([[3, 1, 2, 0], [0, 2, 0, 5], [6, 2, 4, 1]])
+def test_column_pivots_match_the_gauss_jordan_reference(rows):
+    # The free-row sweep must give exactly the pivots and the last pivot of
+    # the Gauss-Jordan sweep, rank-deficient and non-square matrices included.
+    pivots, last = column_pivots(rows)
+    assert (pivots, last) == reference_column_pivots(rows)
+    if len(pivots) == len(rows[0]):
+        assert column_forms(rows) == ColumnForms(*reference_column_forms(rows))

@@ -168,6 +168,13 @@ def test_realize_rejects_out_of_scope():
         realize((1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("entries", [(1, 0, 0, 0.5), (1, 0, 2.9, 0), (1, "3", 0, 0)])
+def test_realize_refuses_non_integer_entries(entries):
+    # int() would truncate 0.5 and 2.9 and parse '3', and build another witness.
+    with pytest.raises(TypeError):
+        realize(entries)
+
+
 @pytest.mark.parametrize("cand", [(1, 1, 0, 1), (1, 0, 0, 0, 0, 0, 0, 1)], ids=["n2<0", "n1+n2>d+1"])
 def test_realize_refuses_yes_outside_the_box_groups(monkeypatch, cand):
     # A YES verdict with no cyclic box group behind it is a classifier fault.

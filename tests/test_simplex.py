@@ -2,17 +2,20 @@
 
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ehrhart import simplex as simplex_module
+from ehrhart.classifier import Verdict, enumerate_candidates
 from ehrhart.engine import box_points, count_points, delta_from_box, delta_from_counts
 from ehrhart.errors import DegenerateSimplexError, DimensionError
 from ehrhart.intlinalg import smith_normal_form
-from ehrhart.realizer import construct_lemma_second, construct_section2
+from ehrhart.realizer import construct_lemma_second, construct_section2, realize
 from ehrhart.simplex import LatticeSimplex, dump_simplex, load_simplex, unit_simplex
+from elimination_reference import reference_column_pivots
 
 
 def section2_d3():
@@ -45,6 +48,50 @@ def test_new_simplex_reports_first_dependent_vertex(verts, index):
     with pytest.raises(DegenerateSimplexError) as exc:
         LatticeSimplex(verts)
     assert exc.value.index == index
+
+
+@pytest.mark.parametrize(
+    "vertices", [[[0.5, 0], [2, 0], [0, 3]], [[0, 0], [2.9, 0], [0, 3]], [[0, 0], [2, 0], ["0", "3"]]]
+)
+def test_new_simplex_refuses_non_integer_entries(vertices):
+    # int() would truncate 0.5 and 2.9 and parse '3' into a valid triangle.
+    with pytest.raises(TypeError):
+        LatticeSimplex(vertices)
+
+
+def reference_outcome(vertices):
+    """("volume", V) or ("index", i) for these vertices, from the
+    Gauss-Jordan reference elimination of the columns (v_j, 1)."""
+    rows = [list(col) for col in zip(*vertices)] + [[1] * len(vertices)]
+    pivots, last = reference_column_pivots(rows)
+    if len(pivots) == len(vertices):
+        return "volume", abs(last)
+    return "index", next(i for i, c in enumerate(pivots + (len(vertices),)) if i != c)
+
+
+def outcome(vertices):
+    try:
+        return "volume", LatticeSimplex(vertices).normalized_volume
+    except DegenerateSimplexError as exc:
+        return "index", exc.index
+
+
+@pytest.mark.parametrize("d", range(3, 41))
+def test_construction_matches_the_reference_on_every_witness(d):
+    # Every realize witness keeps the reference's volume, and a copy with one
+    # vertex moved into the affine span of three others (v_a + v_b - v_c,
+    # seeded) fails at the reference's first dependent vertex.
+    rng = random.Random(d)
+    for cand, decision in enumerate_candidates(d):
+        if decision.verdict is not Verdict.YES:
+            continue
+        vertices = [list(v) for v in realize(cand)[0].vertices]
+        assert outcome(vertices) == reference_outcome(vertices) == ("volume", sum(cand))
+        j = rng.randrange(d + 1)
+        a, b, c = rng.sample([i for i in range(d + 1) if i != j], 3)
+        vertices[j] = [x + y - z for x, y, z in zip(vertices[a], vertices[b], vertices[c])]
+        expected = reference_outcome(vertices)
+        assert expected[0] == "index" and outcome(vertices) == expected
 
 
 def test_new_simplex_section2_vertices():
