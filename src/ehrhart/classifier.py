@@ -120,19 +120,17 @@ def is_realizable(entries: Sequence[int]) -> Decision:
     entries = tuple(map(index, entries))
     d = len(entries) - 1
     total = sum(entries)
+    report = inequality_report(entries) if entries else None
     if d < 3:
-        report = inequality_report(entries) if entries else None
         return Decision(Verdict.OUT_OF_SCOPE, f"dimension {d} < 3 is outside the classified range", report)
     if any(e < 0 for e in entries):
-        report = inequality_report(entries)
         return Decision(Verdict.NO, report.basic.reason, report)
     if total > 3:
         return Decision(
             Verdict.OUT_OF_SCOPE,
             f"coordinate sum {total} > 3: the inequalities are necessary but not sufficient there",
-            inequality_report(entries),
+            report,
         )
-    report = inequality_report(entries)
     if report.all_ok:
         return Decision(Verdict.YES, "passes all inequality families", report)
     # Prefer the Stanley/Hibi witness in the reason (shape problems like a bad

@@ -20,7 +20,6 @@ Two independent routes are provided on purpose:
 from __future__ import annotations
 
 import math
-import operator
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
@@ -120,19 +119,19 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[
         raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
     dmax = snf.diag[-1]
     w = dmax.bit_length() + 1
-    # Membership c m = 0 (mod D_max) is linear, so checking the generators
-    # covers every numerator they generate.
-    columns = list(zip(*m))
     levels = []
-    for i, di in enumerate(snf.diag):
+    for row, di in zip(snf.left, snf.diag):
         if di > 1:
-            g = [dmax // di * u % dmax for u in snf.left[i]]
-            if any(sum(map(operator.mul, g, col)) % dmax for col in columns):
+            g = {j: dmax // di * u % dmax for j, u in row.items()}
+            # Membership: c m = 0 (mod D_max), so that the point c m / D_max
+            # is integral.  It is linear in c, so checking the generators
+            # covers every numerator they generate.
+            point = [0] * len(m)
+            for j, x in g.items():
+                point = [p + x * y for p, y in zip(point, m[j])]
+            if any(p % dmax for p in point):
                 raise InternalInconsistencyError(f"weight generator {g}/{dmax} is not a box point")
-            packed = 0
-            for x in reversed(g):
-                packed = packed << w | x
-            levels.append((packed, sum(g), di))
+            levels.append((sum(x << j * w for j, x in g.items()), sum(g.values()), di))
     ones = ((1 << w * len(m)) - 1) // ((1 << w) - 1)
     k = ones * ((1 << w - 1) - dmax)
     high = ones << w - 1

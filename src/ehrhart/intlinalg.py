@@ -29,11 +29,12 @@ class SnfDecomposition(NamedTuple):
     """Smith normal form: left @ original = diag @ W for a unimodular W.
 
     ``diag`` holds the nonnegative invariant factors, each dividing the next,
-    with any zeros trailing.  ``left`` is unimodular, given as its rows; the
-    right transform is not kept.
+    with any zeros trailing.  ``left`` is unimodular, given as its rows in
+    sparse form ``{column: value}``, zeros left out; the right transform is
+    not kept.
     """
 
-    left: list[list[int]]
+    left: list[dict[int, int]]
     diag: tuple[int, ...]
 
 
@@ -147,19 +148,24 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
     Each pivot is the first nonzero entry of least magnitude, in row-major
     order, of the remaining submatrix.  No nonzero entry is smaller than a
     unit, so the search stops at the first +-1: that is the entry a full
-    scan would pick, and ``left`` and ``diag`` do not depend on the
-    shortcut.  A unit pivot divides everything (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4): the row operations clear
-    its column exactly, after which the column operations would only zero
-    the rest of its row, and the divisibility pass has nothing to fold in.
-    So the unit step is the row operations and a zeroed row tail.
+    scan would pick.  Every pivot takes one step: row operations reduce its
+    column modulo the pivot, column operations its row, and an entry the
+    pivot does not divide has its row folded in.  A unit pivot divides
+    everything (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4): the row operations clear its column exactly, after which the
+    column operations would only zero the rest of its row, and the
+    divisibility pass has nothing to fold in.  So a unit pivot ends its slot
+    after the row operations.  Its row keeps the entries the column
+    operations would zero: no later step reads a row before its slot, and
+    the diagonal is read at the pivot's column.
 
-    The work runs on sparse rows ``{column: value}`` that hold no zeros.
-    Columns keep their original keys: ``perm[p]`` is the column at position
-    p and ``pos`` its inverse, so a column swap touches two entries.  Rows
-    from slot t on are zero at every position before t, so a row's entries
-    are exactly its remaining submatrix entries; ties within a row go to the
-    least position, never to dict order.
+    The work runs on sparse rows ``{column: value}`` that hold no zeros, and
+    ``left`` is returned as such rows.  Columns keep their original keys:
+    ``perm[p]`` is the column at position p and ``pos`` its inverse, so a
+    column swap touches two entries.  Rows from slot t on are zero at every
+    position before t, so a row's entries are exactly its remaining
+    submatrix entries; ties within a row go to the least position, never to
+    dict order.
     """
     n = _require_square(m, "smith_normal_form")
     a = [{j: x for j, x in enumerate(row) if x} for row in m]
@@ -188,32 +194,13 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
                 a[t], a[best] = a[best], a[t]
                 left[t], left[best] = left[best], left[t]
             top = a[t]
-            if len(top) == 1:
-                bj = pos[next(iter(top))]
-            else:
-                bj = min(pos[c] for c, y in top.items() if y == least or y == -least)
+            bj = min(pos[c] for c, y in top.items() if y == least or y == -least)
             if bj != t:
                 perm[t], perm[bj] = perm[bj], perm[t]
                 pos[perm[t]], pos[perm[bj]] = t, bj
             ct = perm[t]
             piv = top[ct]
             ltop = left[t]
-            if least == 1:
-                # With piv = +-1, adding -f * piv times row t cancels the
-                # entry f; when row t holds nothing else, that is all it does.
-                single = len(top) == 1
-                for i in range(t + 1, n):
-                    row = a[i]
-                    f = row.get(ct)
-                    if f:
-                        f *= -piv
-                        if single:
-                            del row[ct]
-                        else:
-                            _axpy(row, top, f)
-                        _axpy(left[i], ltop, f)
-                a[t] = {ct: piv}
-                break
             done = True
             for i in range(t + 1, n):
                 row = a[i]
@@ -224,6 +211,9 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
                     _axpy(left[i], ltop, f)
                     if ct in row:
                         done = False
+            if least == 1:
+                # A unit divides everything: nothing is left to reduce or fold.
+                break
             # Column cj -= (f // piv) * column ct for each entry f of row t
             # leaves row t with the remainders f % piv, and changes only the
             # other rows that hold ct.
@@ -251,10 +241,4 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
             a[t] = {c: -x for c, x in a[t].items()}
             left[t] = {c: -x for c, x in left[t].items()}
 
-    dense = []
-    for row in left:
-        out = [0] * n
-        for c, x in row.items():
-            out[c] = x
-        dense.append(out)
-    return SnfDecomposition(left=dense, diag=tuple(a[i].get(perm[i], 0) for i in range(n)))
+    return SnfDecomposition(left=left, diag=tuple(a[i].get(perm[i], 0) for i in range(n)))

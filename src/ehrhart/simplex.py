@@ -154,11 +154,6 @@ def dump_simplex(s: LatticeSimplex, path: str, plan: str | None = None) -> None:
         fh.write("\n")
 
 
-def _is_json_int(x) -> bool:
-    # JSON true/false load as bool, which is a subclass of int.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def load_simplex(path: str) -> LatticeSimplex:
     """Read a polytope file; extra fields (e.g. a plan note) are ignored."""
     import json
@@ -169,9 +164,10 @@ def load_simplex(path: str) -> LatticeSimplex:
         raise DimensionError("polytope file must contain ambient_dim and vertices")
     n = doc["ambient_dim"]
     verts = doc["vertices"]
-    if not _is_json_int(n) or not isinstance(verts, list):
+    # JSON integers load as exact int; true/false load as bool, a subclass.
+    if type(n) is not int or not isinstance(verts, list):
         raise DimensionError("malformed polytope file")
     for v in verts:
-        if not isinstance(v, list) or len(v) != n or not all(_is_json_int(x) for x in v):
+        if not isinstance(v, list) or len(v) != n or not all(type(x) is int for x in v):
             raise DimensionError("each vertex must be a list of ambient_dim integers")
     return LatticeSimplex(verts)

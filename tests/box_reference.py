@@ -25,7 +25,7 @@ def reference_numerators(s) -> tuple[int, list[tuple[int, ...]]]:
     for i, di in enumerate(snf.diag):
         if di > 1:
             orders.append(di)
-            gens.append(tuple(dmax // di * u % dmax for u in snf.left[i]))
+            gens.append(tuple(dmax // di * snf.left[i].get(j, 0) % dmax for j in range(len(m))))
 
     def walk(level: int, c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if level == len(gens):

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -271,7 +272,7 @@ def test_box_route_matches_the_reference_walk_at_field_width_edges(dmax):
         s = all_equal_generator_simplex(dmax, sign)
         snf = smith_normal_form(s.lifted_matrix())
         assert snf.diag[-1] == dmax and math.prod(snf.diag) == dmax
-        assert set(snf.left[-1][j] % dmax for j in range(dmax)) == {top}
+        assert set(snf.left[-1].get(j, 0) % dmax for j in range(dmax)) == {top}
         pts = assert_box_route_matches_the_reference(s)
         assert len(pts) == dmax
         assert any(set(p.coefficients) == {Fraction(dmax - 1, dmax)} for p in pts)
@@ -323,8 +324,8 @@ def generator_off_the_box(snf):
     the last column of the lifted matrix is all ones, so the generator's
     weights no longer sum to an integer."""
     i = next(i for i, x in enumerate(snf.diag) if x > 1)
-    left = [list(row) for row in snf.left]
-    left[i][0] += 1
+    left = [dict(row) for row in snf.left]
+    left[i][0] = left[i].get(0, 0) + 1
     return SnfDecomposition(left, snf.diag)
 
 
@@ -333,19 +334,28 @@ def orders_off_the_generators(snf):
     factors still multiply to the volume and the generators are box points
     mod 3, but two steps of the order-2 level do not bring it back."""
     assert snf.diag[-2:] == (1, 6)
-    left = [list(row) for row in snf.left]
-    left[-2] = list(left[-1])
+    left = [dict(row) for row in snf.left]
+    left[-2] = dict(left[-1])
     return SnfDecomposition(left, snf.diag[:-2] + (2, 3))
 
 
-@pytest.mark.parametrize("tamper", [wrong_product, generator_off_the_box, orders_off_the_generators])
+# Each tampering is caught by its own check, not by a later one: a generator
+# off the box would also fail the walk's integrality check.
+CAUGHT_BY = {
+    wrong_product: "do not multiply to",
+    generator_off_the_box: "is not a box point",
+    orders_off_the_generators: "is not back at its start",
+}
+
+
+@pytest.mark.parametrize("tamper", CAUGHT_BY)
 def test_box_route_consistency_checks(monkeypatch, tmp_path, capsys, tamper):
     s = hnf_cyclic_simplex([1, 2], 6)
     assert delta_from_box(s).entries == reference_delta(s)
     monkeypatch.setattr(engine, "smith_normal_form", lambda m: tamper(smith_normal_form(m)))
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match=CAUGHT_BY[tamper]):
         delta_from_box(s)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match=CAUGHT_BY[tamper]):
         box_points(s)
     path = tmp_path / "cyclic.json"
     dump_simplex(s, str(path))
@@ -354,6 +364,20 @@ def test_box_route_consistency_checks(monkeypatch, tmp_path, capsys, tamper):
     captured = capsys.readouterr()
     assert captured.out.startswith("status internal-inconsistency\n")
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_delta_from_box_of_the_sum3_witness_at_d1404_peaks_below_25_mib():
+    # The lifted matrix alone is about 17 MiB; a dense left transform or a
+    # transpose of the matrix would add as much again.
+    s = realize([1] + [int(i in (468, 936)) for i in range(1, 1405)])[0]
+    tracemalloc.start()
+    try:
+        delta = delta_from_box(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta.entries == (1,) + tuple(int(i in (468, 936)) for i in range(1, 1405))
+    assert peak <= 25 * 2**20
 
 
 def test_box_route_budget_is_enforced():

@@ -43,6 +43,14 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(rows, n):
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
 def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
@@ -140,10 +148,12 @@ def test_snf_lifted_section2_matrix():
 
 
 def reference_smith_normal_form(m):
-    """``smith_normal_form`` without the unit-pivot shortcut, its reference:
-    every step scans the whole remaining submatrix for its first entry of
-    least magnitude and runs the column operations and the divisibility pass
-    on every pivot, units included."""
+    """``smith_normal_form``'s reference, on dense rows: every step scans
+    the whole remaining submatrix for its first entry of least magnitude and
+    runs the column operations and the divisibility pass on every pivot,
+    units included, where ``smith_normal_form`` ends a unit pivot's slot
+    after its row operations.  ``left`` is returned in the same sparse rows
+    ``{column: value}``."""
     n = _require_square(m, "smith_normal_form")
     a = [list(row) for row in m]
     left = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -216,7 +226,7 @@ def reference_smith_normal_form(m):
         if t < n and a[t][t] < 0:
             negate_row(t)
 
-    return SnfDecomposition(left=left, diag=tuple(a[i][i] for i in range(n)))
+    return SnfDecomposition(left=[sparse(row) for row in left], diag=tuple(a[i][i] for i in range(n)))
 
 
 def check_snf(m):
@@ -227,13 +237,15 @@ def check_snf(m):
     snf = smith_normal_form(m)
     n = len(m)
     d = snf.diag
-    assert len(d) == n and abs(cofactor_det(snf.left)) == 1
+    left = dense(snf.left, n)
+    assert all(0 not in row.values() for row in snf.left)
+    assert len(d) == n and abs(cofactor_det(left)) == 1
     nonzero = [x for x in d if x != 0]
     assert all(x >= 0 for x in d)
     assert list(d) == nonzero + [0] * (n - len(nonzero))
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
-    um = matmul(snf.left, m)
+    um = matmul(left, m)
     for di, row in zip(d, um):
         if di == 0:
             assert row == [0] * n
@@ -288,6 +300,11 @@ def test_snf_invariants_hold(rows):
 @example([[2, 3], [4, 5]])
 @example([[6, 10, 15], [10, 15, 6], [15, 6, 10]])
 @example([[4, 6, 0], [6, 9, 2], [0, 2, 3]])
+# A unit pivot that appears only after a non-unit round in the same slot:
+# after the row and column operations of the pivot 2, and after the fold of
+# the row that holds 3.
+@example([[2, 3], [3, 5]])
+@example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
 def test_snf_matches_the_reference(rows):
     assert smith_normal_form(rows) == reference_smith_normal_form(rows)
 
@@ -352,7 +369,7 @@ def test_snf_breaks_pivot_ties_by_position_not_by_dict_order():
     m = [[-2, 2, 0], [0, 0, 0], [0, 0, 1]]
     snf = smith_normal_form(m)
     assert snf == reference_smith_normal_form(m)
-    assert snf == SnfDecomposition(left=[[0, 0, 1], [1, 0, 0], [0, 1, 0]], diag=(1, 2, 0))
+    assert snf == SnfDecomposition(left=[{2: 1}, {0: 1}, {1: 1}], diag=(1, 2, 0))
 
 
 def sum_candidate(d, *extras):

@@ -1,0 +1,194 @@
+"""Run the mutant table: every mutant below must be killed by its tests.
+
+A mutant replaces one exact piece of text in one source file.  The script
+copies the repository, without .git and caches, to a temporary directory,
+then runs every test selection of the chosen mutants there unmutated: those
+runs must pass, so a broken tree cannot read as "all killed".  Then, one
+mutant at a time, it writes the mutated file into the copy, runs
+
+    python -m pytest -x -q -p no:cacheprovider <selection>
+
+in the copy with PYTHONPATH at its src/, and restores the file.  Exit 1, a
+failed test, kills the mutant.  Any other nonzero exit (a collection error,
+say) marks the row broken: a mutant that stops the tests from running
+shows nothing about them.  The whole tree is copied, not src/ alone, because
+pyproject.toml puts the src/ beside it first on the tests' path.
+
+The old text must occur exactly once in its file.  When a change removes or
+repeats it, the script stops before running anything, and that change
+updates the row.
+
+Usage: python tools/mutants.py [MUTANT_ID ...]   (no id: every mutant)
+
+Exit status: 0 when every mutant run was killed, 1 when one survived, 2 when
+the table does not apply to the tree, an unmutated selection fails or a row
+is broken.
+Standard library only; the tests themselves need pytest and hypothesis.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    selection: tuple[str, ...]
+
+
+INTLINALG = "src/ehrhart/intlinalg.py"
+ENGINE = "src/ehrhart/engine.py"
+SNF_TESTS = ("tests/test_intlinalg.py", "-k", "snf")
+ELIMINATION_TESTS = (
+    "tests/test_intlinalg.py::test_column_pivots_match_the_gauss_jordan_reference",
+    "tests/test_simplex.py::test_construction_matches_the_reference_on_every_witness",
+)
+WALK_TESTS = ("tests/test_engine.py", "-k", "box_route or box_points or delta_from_box")
+
+MUTANTS = (
+    Mutant(
+        "snf-tie-by-dict-order",
+        INTLINALG,
+        "bj = min(pos[c] for c, y in top.items() if y == least or y == -least)",
+        "bj = next(pos[c] for c, y in top.items() if y == least or y == -least)",
+        SNF_TESTS,
+    ),
+    Mutant(
+        "snf-diag-through-original-column",
+        INTLINALG,
+        "diag=tuple(a[i].get(perm[i], 0) for i in range(n))",
+        "diag=tuple(a[i].get(i, 0) for i in range(n))",
+        SNF_TESTS,
+    ),
+    Mutant(
+        "snf-no-divisibility-fold",
+        INTLINALG,
+        "offender = next((i for i in range(t + 1, n) if any(x % piv for x in a[i].values())), None)",
+        "offender = None",
+        SNF_TESTS,
+    ),
+    Mutant(
+        "snf-unit-exit-before-row-operations",
+        INTLINALG,
+        "            done = True\n"
+        "            for i in range(t + 1, n):\n",
+        "            if least == 1:\n"
+        "                break\n"
+        "            done = True\n"
+        "            for i in range(t + 1, n):\n",
+        SNF_TESTS,
+    ),
+    Mutant(
+        "walk-field-width-one-bit-short",
+        ENGINE,
+        "w = dmax.bit_length() + 1",
+        "w = dmax.bit_length()",
+        WALK_TESTS,
+    ),
+    Mutant(
+        "walk-field-sum-keeps-reduced-fields",
+        ENGINE,
+        "total += step - dmax * h.bit_count()",
+        "total += step",
+        WALK_TESTS,
+    ),
+    Mutant(
+        "walk-membership-skips-the-ones-column",
+        ENGINE,
+        "if any(p % dmax for p in point):",
+        "if any(p % dmax for p in point[:-1]):",
+        WALK_TESTS,
+    ),
+    Mutant(
+        "elimination-no-rescale-of-zero-entry-rows",
+        INTLINALG,
+        "            elif p != prev:\n"
+        "                a[i] = [p * x // prev for x in row]\n",
+        "",
+        ELIMINATION_TESTS,
+    ),
+    Mutant(
+        "elimination-pivot-from-a-pivot-row",
+        INTLINALG,
+        "r = next((i for i in free if a[i][c] != 0), None)",
+        "r = next((i for i in range(len(a)) if a[i][c] != 0), None)",
+        ELIMINATION_TESTS,
+    ),
+)
+
+
+def run(selection: tuple[str, ...], tree: Path) -> tuple[int, float]:
+    # No bytecode cache: a mutant and the restored file may share a size and
+    # an mtime second, which is all a cached .pyc is checked against.
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return done.returncode, time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    ids = [m.id for m in MUTANTS]
+    if len(set(ids)) != len(ids):
+        print("mutant ids repeat", file=sys.stderr)
+        return 2
+    unknown = sorted(set(argv) - set(ids))
+    if unknown:
+        print(f"unknown mutant ids: {unknown}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.id in argv]
+    for m in chosen:
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1:
+            print(f"{m.id}: old text occurs {count} times in {m.file}, not once", file=sys.stderr)
+            return 2
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(
+            ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
+        )
+        for selection in dict.fromkeys(m.selection for m in chosen):
+            code, seconds = run(selection, tree)
+            print(f"unmutated  {' '.join(selection)}: exit {code} ({seconds:.1f} s)", flush=True)
+            if code != 0:
+                print("an unmutated selection fails; no mutant was run", file=sys.stderr)
+                return 2
+        survivors = []
+        broken = []
+        for m in chosen:
+            path = tree / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            try:
+                code, seconds = run(m.selection, tree)
+            finally:
+                path.write_text(original)
+            outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"BROKEN (exit {code})")
+            print(f"{outcome:9}  {m.id} ({seconds:.1f} s)", flush=True)
+            if code == 0:
+                survivors.append(m.id)
+            elif code != 1:
+                broken.append(m.id)
+    print(f"{len(chosen) - len(survivors) - len(broken)} of {len(chosen)} mutants killed")
+    return 2 if broken else 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
