@@ -8,9 +8,17 @@ out-of-scope verdict instead of a yes/no.
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
 from operator import index
 from typing import Iterator, NamedTuple, Sequence
+
+from .engine import DEFAULT_BUDGET
+from .errors import BudgetExceededError, OutOfScopeError
+
+# The classified range: d >= MIN_DIM and coordinate sum <= MAX_SUM.
+MIN_DIM = 3
+MAX_SUM = 3
 
 
 class Verdict(Enum):
@@ -121,14 +129,14 @@ def is_realizable(entries: Sequence[int]) -> Decision:
     d = len(entries) - 1
     total = sum(entries)
     report = inequality_report(entries) if entries else None
-    if d < 3:
-        return Decision(Verdict.OUT_OF_SCOPE, f"dimension {d} < 3 is outside the classified range", report)
+    if d < MIN_DIM:
+        return Decision(Verdict.OUT_OF_SCOPE, f"dimension {d} < {MIN_DIM} is outside the classified range", report)
     if any(e < 0 for e in entries):
         return Decision(Verdict.NO, report.basic.reason, report)
-    if total > 3:
+    if total > MAX_SUM:
         return Decision(
             Verdict.OUT_OF_SCOPE,
-            f"coordinate sum {total} > 3: the inequalities are necessary but not sufficient there",
+            f"coordinate sum {total} > {MAX_SUM}: the inequalities are necessary but not sufficient there",
             report,
         )
     if report.all_ok:
@@ -145,18 +153,24 @@ def is_realizable(entries: Sequence[int]) -> Decision:
     return Decision(Verdict.NO, f"{name} check fails: {res.reason}", report)
 
 
-def enumerate_candidates(d: int, max_sum: int = 3) -> Iterator[tuple[tuple[int, ...], Decision]]:
+def enumerate_candidates(d: int, max_sum: int = MAX_SUM) -> Iterator[tuple[tuple[int, ...], Decision]]:
     """All length-(d+1) candidates with delta_0 = 1 and sum <= max_sum, in
-    lexicographic order, each paired with its decision."""
-    if d < 3:
-        raise ValueError("enumeration is defined for d >= 3")
-    tails = []
+    lexicographic order, each paired with its decision.  Before any work,
+    raises OutOfScopeError outside the classified range and
+    BudgetExceededError past ``DEFAULT_BUDGET`` candidate entries."""
+    if d < MIN_DIM:
+        raise OutOfScopeError(f"dimension {d} < {MIN_DIM} is outside the classified range")
+    if max_sum > MAX_SUM:
+        raise OutOfScopeError(f"max sum {max_sum} > {MAX_SUM} is outside the classified range")
+    # The extras of a candidate with sum 1 + k form a k-multiset of {1..d}.
+    needed = sum(math.comb(d + k - 1, k) for k in range(max_sum)) * (d + 1)
+    if needed > DEFAULT_BUDGET:
+        raise BudgetExceededError(needed, DEFAULT_BUDGET)
+    cands = []
     for extra in range(max_sum):
         for positions in itertools.combinations_with_replacement(range(1, d + 1), extra):
-            tail = [0] * d
+            cand = [1] + [0] * d
             for p in positions:
-                tail[p - 1] += 1
-            tails.append(tuple(tail))
-    for tail in sorted(set(tails)):
-        cand = (1,) + tail
-        yield cand, is_realizable(cand)
+                cand[p] += 1
+            cands.append(tuple(cand))
+    return ((cand, is_realizable(cand)) for cand in sorted(cands))

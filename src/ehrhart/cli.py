@@ -10,7 +10,9 @@ failure class:
     0 ok, 1 invalid-input, 2 not-realizable, 3 out-of-scope,
     4 budget-exceeded, 5 internal-inconsistency
 
-A usage error (a missing or malformed argument) is invalid input.  A
+The table lives in ``errors``: every package error carries its code as
+``exit_code``, and ``main`` reports whatever error ends a command by that
+code.  A usage error (a missing or malformed argument) is invalid input.  A
 standard-library module that only some commands need, such as ``json``, is
 imported where it is used, so that a fresh ``check`` does not load it.
 """
@@ -32,46 +34,27 @@ from .engine import (
     evaluate_interior,
 )
 from .errors import (
-    BudgetExceededError,
     DegenerateSimplexError,
     DimensionError,
-    InconsistentCountsError,
+    EhrhartError,
     InternalInconsistencyError,
+    InvalidInputError,
     NotRealizableError,
     OutOfScopeError,
-    ParameterError,
 )
 from .realizer import realize
 from .simplex import dump_simplex, load_simplex
 
-EXIT_OK = 0
-EXIT_INVALID_INPUT = 1
-EXIT_NOT_REALIZABLE = 2
-EXIT_OUT_OF_SCOPE = 3
-EXIT_BUDGET_EXCEEDED = 4
-EXIT_INTERNAL_INCONSISTENCY = 5
-
-_STATUS = {
-    EXIT_OK: "ok",
-    EXIT_INVALID_INPUT: "invalid-input",
-    EXIT_NOT_REALIZABLE: "not-realizable",
-    EXIT_OUT_OF_SCOPE: "out-of-scope",
-    EXIT_BUDGET_EXCEEDED: "budget-exceeded",
-    EXIT_INTERNAL_INCONSISTENCY: "internal-inconsistency",
-}
-
-
-class CommandFailure(Exception):
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
+# The status line's word for each exit code.
+_STATUS = ("ok", "invalid-input", "not-realizable", "out-of-scope", "budget-exceeded", "internal-inconsistency")
+_VERDICT_CODE = {Verdict.YES: 0, Verdict.NO: NotRealizableError.exit_code, Verdict.OUT_OF_SCOPE: OutOfScopeError.exit_code}
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as invalid input instead of exiting with 2."""
 
     def error(self, message: str):
-        raise CommandFailure(EXIT_INVALID_INPUT, f"{self.prog}: {message}")
+        raise InvalidInputError(f"{self.prog}: {message}")
 
 
 @contextlib.contextmanager
@@ -111,9 +94,9 @@ def _parse_delta_args(tokens: list[str]) -> tuple[int, ...]:
     try:
         entries = tuple(int(t) for t in tokens)
     except ValueError as exc:
-        raise CommandFailure(EXIT_INVALID_INPUT, f"delta entries must be integers: {exc}")
+        raise InvalidInputError(f"delta entries must be integers: {exc}")
     if not entries:
-        raise CommandFailure(EXIT_INVALID_INPUT, "empty delta sequence")
+        raise InvalidInputError("empty delta sequence")
     return entries
 
 
@@ -131,22 +114,15 @@ def cmd_check(args) -> tuple[dict, int]:
             payload[name] = f"fail at i={res.witness}"
     payload["verdict"] = decision.verdict.value
     payload["reason"] = decision.reason
-    if decision.verdict is Verdict.YES:
-        code = EXIT_OK
-    elif decision.verdict is Verdict.NO:
-        code = EXIT_NOT_REALIZABLE
-    else:
-        code = EXIT_OUT_OF_SCOPE
-    return payload, code
+    return payload, _VERDICT_CODE[decision.verdict]
 
 
 def cmd_delta(args) -> tuple[dict, int]:
-    import json
-
+    # ValueError covers bad JSON, non-UTF-8 bytes and the digit limit.
     try:
         simplex = load_simplex(args.polytope)
-    except (OSError, json.JSONDecodeError, RecursionError, DimensionError, DegenerateSimplexError) as exc:
-        raise CommandFailure(EXIT_INVALID_INPUT, f"cannot read polytope file: {exc}")
+    except (OSError, ValueError, RecursionError, DimensionError, DegenerateSimplexError) as exc:
+        raise InvalidInputError(f"cannot read polytope file: {exc}")
     # Past the file, every number is computed, even one that a budget
     # refusal's message shows.
     with _no_digit_limit():
@@ -158,9 +134,8 @@ def cmd_delta(args) -> tuple[dict, int]:
             counts = [count_points(simplex, n, budget=args.budget) for n in range(1, d + 1)]
             deltas["counts"] = delta_from_counts(counts, d)
         if len(deltas) == 2 and deltas["box"].entries != deltas["counts"].entries:
-            raise CommandFailure(
-                EXIT_INTERNAL_INCONSISTENCY,
-                f"box method gave {deltas['box'].entries}, counts gave {deltas['counts'].entries}",
+            raise InternalInconsistencyError(
+                f"box method gave {deltas['box'].entries}, counts gave {deltas['counts'].entries}"
             )
         delta = next(iter(deltas.values()))
         coeffs = ehrhart_coefficients(delta)
@@ -176,7 +151,7 @@ def cmd_delta(args) -> tuple[dict, int]:
                 for n in range(1, d + 1)
             ],
         }
-        return payload, EXIT_OK
+        return payload, 0
 
 
 def cmd_realize(args) -> tuple[dict, int]:
@@ -187,23 +162,22 @@ def cmd_realize(args) -> tuple[dict, int]:
         try:
             dump_simplex(simplex, args.out, plan=plan.describe())
         except OSError as exc:
-            raise CommandFailure(EXIT_INVALID_INPUT, f"cannot write witness file: {exc}")
+            raise InvalidInputError(f"cannot write witness file: {exc}")
         payload["out"] = args.out
     else:
         payload["vertices"] = [list(v) for v in simplex.vertices]
-    return payload, EXIT_OK
+    return payload, 0
 
 
 def cmd_enumerate(args) -> tuple[dict, int]:
-    if args.dim < 3:
-        raise CommandFailure(EXIT_OUT_OF_SCOPE, f"dimension {args.dim} < 3 is outside the classified range")
-    if args.max_sum > 3:
-        raise CommandFailure(EXIT_OUT_OF_SCOPE, f"max sum {args.max_sum} > 3 is outside the classified range")
+    # A size refusal's message may show a count past the digit limit.
+    with _no_digit_limit():
+        candidates = enumerate_candidates(args.dim, args.max_sum)
     rows = []
     yes = 0
     verified = 0
     failures = 0
-    for cand, decision in enumerate_candidates(args.dim, args.max_sum):
+    for cand, decision in candidates:
         row = {"delta": " ".join(str(x) for x in cand), "verdict": decision.verdict.value}
         if decision.verdict is Verdict.YES:
             yes += 1
@@ -221,8 +195,8 @@ def cmd_enumerate(args) -> tuple[dict, int]:
         payload["realized_ok"] = verified
         payload["realized_failed"] = failures
         if failures:
-            return payload, EXIT_INTERNAL_INCONSISTENCY
-    return payload, EXIT_OK
+            return payload, InternalInconsistencyError.exit_code
+    return payload, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,18 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser.parse_args(argv, namespace=args)
         payload, code = args.func(args)
-    except CommandFailure as exc:
+    except EhrhartError as exc:
         payload, code = {"error": str(exc)}, exc.exit_code
-    except BudgetExceededError as exc:
-        payload, code = {"error": str(exc)}, EXIT_BUDGET_EXCEEDED
-    except NotRealizableError as exc:
-        payload, code = {"error": str(exc)}, EXIT_NOT_REALIZABLE
-    except OutOfScopeError as exc:
-        payload, code = {"error": str(exc)}, EXIT_OUT_OF_SCOPE
-    except (InconsistentCountsError, InternalInconsistencyError) as exc:
-        payload, code = {"error": str(exc)}, EXIT_INTERNAL_INCONSISTENCY
-    except (DimensionError, DegenerateSimplexError, ParameterError, ValueError) as exc:
-        payload, code = {"error": str(exc)}, EXIT_INVALID_INPUT
+    except ValueError as exc:
+        payload, code = {"error": str(exc)}, InvalidInputError.exit_code
     out = {"status": _STATUS[code]}
     out.update(payload)
     out["exit_code"] = code

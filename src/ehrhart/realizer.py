@@ -14,8 +14,14 @@ from operator import index
 from typing import NamedTuple
 
 from .classifier import Verdict, is_realizable
-from .engine import delta_from_box
-from .errors import InternalInconsistencyError, NotRealizableError, OutOfScopeError, ParameterError
+from .engine import DEFAULT_BUDGET, delta_from_box
+from .errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    NotRealizableError,
+    OutOfScopeError,
+    ParameterError,
+)
 from .simplex import LatticeSimplex
 
 
@@ -183,9 +189,11 @@ def realize(entries) -> tuple[LatticeSimplex, ConstructionPlan]:
     The delta-vector is always recomputed from the witness by the box route
     and must match the candidate exactly; a mismatch raises
     InternalInconsistencyError.  A NO candidate raises NotRealizableError,
-    one outside the classified range OutOfScopeError, and an entry that is
-    not an integer TypeError (``operator.index``: 0.5 or '3' is refused,
-    never truncated or parsed).
+    one outside the classified range OutOfScopeError, a YES candidate whose
+    witness has more than ``DEFAULT_BUDGET`` vertex entries, (d + 1)^2,
+    BudgetExceededError before it is built, and an entry that is not an
+    integer TypeError (``operator.index``: 0.5 or '3' is refused, never
+    truncated or parsed).
     """
     entries = tuple(map(index, entries))
     decision = is_realizable(entries)
@@ -195,6 +203,8 @@ def realize(entries) -> tuple[LatticeSimplex, ConstructionPlan]:
         raise NotRealizableError(decision.reason)
 
     d = len(entries) - 1
+    if (d + 1) ** 2 > DEFAULT_BUDGET:
+        raise BudgetExceededError((d + 1) ** 2, DEFAULT_BUDGET)
     volume = sum(entries)
     positions = [i for i in range(1, d + 1) for _ in range(entries[i])]
     if volume == 1:

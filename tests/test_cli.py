@@ -7,15 +7,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrhart import cli, realizer
+from ehrhart import classifier, cli, realizer
 from ehrhart.cli import main
 from ehrhart.engine import DeltaVector
+from ehrhart.errors import EhrhartError
 from ehrhart.simplex import LatticeSimplex, dump_simplex, load_simplex
 
 
@@ -143,7 +145,14 @@ def test_delta_keeps_the_digit_limit_on_input(tmp_path, capsys):
     path = tmp_path / "huge-coordinate.json"
     path.write_text('{"ambient_dim": 1, "vertices": [[0], [' + HUGE_DIGITS + "]]}")
     code, out = run(capsys, "delta", str(path))
-    assert code == 1 and out.startswith("status invalid-input\n")
+    assert code == 1 and out.startswith("status invalid-input\nerror cannot read polytope file: ")
+
+
+def test_delta_non_utf8_file_is_unreadable(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out = run(capsys, "delta", str(path))
+    assert code == 1 and out.startswith("status invalid-input\nerror cannot read polytope file: ")
 
 
 @pytest.mark.parametrize("method", ["box", "counts"])
@@ -266,6 +275,12 @@ def test_realize_unwritable_out_is_invalid_input(tmp_path, capsys, where):
     assert "error cannot write witness file: " in out and out.endswith("exit_code 1\n")
 
 
+def test_realize_refuses_a_witness_past_the_budget(capsys):
+    # d = 10,000: (d + 1)^2 vertex entries, just past the default 10^8.
+    code, out = run(capsys, "realize", "1", *["0"] * 10_000)
+    assert code == 4 and out.startswith("status budget-exceeded\nerror enumeration needs 100020001 points")
+
+
 def test_realize_not_realizable(capsys):
     code, out = run(capsys, "realize", "1", "1", "0", "0", "1")
     assert code == 2 and "status not-realizable" in out
@@ -292,6 +307,22 @@ def test_enumerate_d5_sum2(capsys):
 def test_enumerate_low_dimension(capsys):
     code, out = run(capsys, "enumerate", "--dim", "2")
     assert code == 3 and "status out-of-scope" in out
+
+
+@pytest.mark.parametrize("dim", ["100000000000000000000", "9" * 2000], ids=["20-digit", "2000-digit"])
+def test_enumerate_refuses_a_table_past_the_budget(capsys, dim):
+    code, out = run(capsys, "enumerate", "--dim", dim)
+    assert code == 4 and out.startswith("status budget-exceeded\nerror enumeration needs ")
+    assert out.endswith(" points, budget is 100000000\nexit_code 4\n")
+
+
+def test_enumerate_charges_every_printed_entry(capsys, monkeypatch):
+    # d = 3, sum <= 3: 1 + 3 + 6 candidates of 4 entries each.
+    monkeypatch.setattr(classifier, "DEFAULT_BUDGET", 40)
+    assert run(capsys, "enumerate", "--dim", "3")[0] == 0
+    monkeypatch.setattr(classifier, "DEFAULT_BUDGET", 39)
+    code, out = run(capsys, "enumerate", "--dim", "3")
+    assert code == 4 and out == "status budget-exceeded\nerror enumeration needs 40 points, budget is 39\nexit_code 4\n"
 
 
 def test_enumerate_realize_all(capsys):
@@ -338,6 +369,12 @@ def disagree_with_the_box_route(monkeypatch):
     monkeypatch.setattr(cli, "delta_from_counts", lambda counts, d: DeltaVector((1,) + (0,) * d))
 
 
+def shrink_the_budget(monkeypatch):
+    # One entry short of a d = 3 witness and of the d = 3 table.
+    monkeypatch.setattr(realizer, "DEFAULT_BUDGET", 15)
+    monkeypatch.setattr(classifier, "DEFAULT_BUDGET", 39)
+
+
 # Every subcommand at every exit status it can reach, and usage errors.
 # "{s2}" stands for the section-2 witness file, "{dir}" for a directory.
 JSON_CASES = [
@@ -355,9 +392,11 @@ JSON_CASES = [
     (["realize", "1", "0", "0", "0", "--out", "{dir}"], 1, None),
     (["realize", "1", "1", "0", "0", "1"], 2, None),
     (["realize", "1", "1", "1", "1"], 3, None),
+    (["realize", "1", "0", "1", "0"], 4, shrink_the_budget),
     (["realize", "1", "0", "1", "0"], 5, fail_witness_verification),
     (["enumerate", "--dim", "5", "--realize-all"], 0, None),
     (["enumerate", "--dim", "2"], 3, None),
+    (["enumerate", "--dim", "3"], 4, shrink_the_budget),
     (["enumerate", "--dim", "3", "--realize-all"], 5, fail_witness_verification),
     (["enumerate", "--dim", "abc"], 1, None),
     ([], 1, None),
@@ -480,3 +519,85 @@ def test_delta_fuzz_ends_in_a_documented_exit_code(text):
     assert code in range(6)
     assert out.getvalue().startswith("status ")
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# The status word of each exit code, written out here so that the CLI's own
+# table is checked, not reused.
+STATUS = ("ok", "invalid-input", "not-realizable", "out-of-scope", "budget-exceeded", "internal-inconsistency")
+
+
+def error_classes(cls=EhrhartError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
+def test_every_package_error_ends_in_its_exit_code(cls, capsys, monkeypatch):
+    # Built without __init__, whose arguments differ from class to class.
+    error = cls.__new__(cls)
+    error.args = ("injected",)
+
+    def fail(entries):
+        raise error
+
+    monkeypatch.setattr(cli, "is_realizable", fail)
+    code = main(["check", "1", "0", "1", "0"])
+    captured = capsys.readouterr()
+    assert code == cls.exit_code
+    assert captured.out == f"status {STATUS[code]}\nerror injected\nexit_code {code}\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
+malformed_tokens = st.sampled_from(["", "x", "1.5", "0x1", "1e3", "-", "--", "--bogus", " 2", "\u0663", "9" * 5000])
+entry_tokens = st.one_of(
+    st.integers(-2, 3).map(str), st.integers(-(10**40), 10**40).map(str), malformed_tokens, st.text(max_size=3)
+)
+# --dim and --max-sum: small, or far past anything the budget lets through.
+size_tokens = st.one_of(st.integers(-3, 20), st.integers(10**6, 10**40), st.just(10**4000)).map(str)
+
+
+@st.composite
+def realize_argvs(draw):
+    # A YES candidate, (1, 0, ..., 0), with a few entries redrawn.
+    d = draw(st.one_of(st.integers(0, 40), st.integers(10**4, 10**4 + 100)))
+    entries = ["1"] + ["0"] * d
+    for _ in range(draw(st.integers(0, 3))):
+        entries[draw(st.integers(0, d))] = draw(entry_tokens)
+    return ["realize", *entries]
+
+
+cli_argvs = st.tuples(
+    st.sampled_from([[], ["--json"]]),
+    st.one_of(
+        st.lists(entry_tokens, max_size=10).map(lambda tokens: ["check", *tokens]),
+        realize_argvs(),
+        st.tuples(
+            st.one_of(size_tokens, malformed_tokens),
+            st.one_of(st.just([]), st.one_of(size_tokens, malformed_tokens).map(lambda s: ["--max-sum", s])),
+            st.sampled_from([[], ["--realize-all"]]),
+        ).map(lambda t: ["enumerate", "--dim", t[0], *t[1], *t[2]]),
+    ),
+).map(lambda t: t[0] + t[1])
+
+
+@given(cli_argvs)
+@settings(max_examples=300, deadline=None)
+def fuzz_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(6)
+    text = out.getvalue()
+    if argv[0] == "--json":
+        doc = json.loads(text)
+        assert doc["status"] == STATUS[code] and doc["exit_code"] == code
+    else:
+        assert text.startswith(f"status {STATUS[code]}\n") and text.endswith(f"\nexit_code {code}\n")
+    assert "Traceback" not in text + err.getvalue()
+
+
+def test_argv_fuzz_ends_in_a_documented_exit_code():
+    start = time.perf_counter()
+    fuzz_argv()
+    assert time.perf_counter() - start < 10

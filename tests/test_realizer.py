@@ -5,7 +5,13 @@ import pytest
 from ehrhart import realizer
 from ehrhart.classifier import Decision, Verdict, enumerate_candidates
 from ehrhart.engine import DeltaVector, delta_from_box
-from ehrhart.errors import InternalInconsistencyError, NotRealizableError, OutOfScopeError, ParameterError
+from ehrhart.errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    NotRealizableError,
+    OutOfScopeError,
+    ParameterError,
+)
 from ehrhart.realizer import (
     construct_lemma_first,
     construct_lemma_second,
@@ -164,6 +170,20 @@ def test_realize_rejects_no_candidate():
 
 
 def test_realize_rejects_out_of_scope():
+    with pytest.raises(OutOfScopeError):
+        realize((1, 1, 1, 1))
+
+
+def test_realize_charges_the_witness_to_the_budget(monkeypatch):
+    # d = 3: the witness has (d + 1)^2 = 16 vertex entries.
+    monkeypatch.setattr(realizer, "DEFAULT_BUDGET", 16)
+    assert realize((1, 0, 1, 0))[0].dim == 3
+    monkeypatch.setattr(realizer, "DEFAULT_BUDGET", 15)
+    with pytest.raises(BudgetExceededError, match="needs 16 points, budget is 15"):
+        realize((1, 0, 1, 0))
+    # The verdict comes first: a NO or out-of-scope candidate is not charged.
+    with pytest.raises(NotRealizableError):
+        realize((1, 1, 0, 0, 1))
     with pytest.raises(OutOfScopeError):
         realize((1, 1, 1, 1))
 

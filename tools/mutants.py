@@ -125,6 +125,36 @@ MUTANTS = (
         "r = next((i for i in range(len(a)) if a[i][c] != 0), None)",
         ELIMINATION_TESTS,
     ),
+    Mutant(
+        "invalid-input-exit-code-5",
+        "src/ehrhart/errors.py",
+        '"""A usage error, a malformed entry, or a file the CLI cannot read or write."""\n    exit_code = 1',
+        '"""A usage error, a malformed entry, or a file the CLI cannot read or write."""\n    exit_code = 5',
+        ("tests/test_cli.py", "-k", "usage_errors_are_invalid_input"),
+    ),
+    Mutant(
+        "verdict-no-exit-code-3",
+        "src/ehrhart/cli.py",
+        "Verdict.NO: NotRealizableError.exit_code",
+        "Verdict.NO: 3",
+        ("tests/test_cli.py", "-k", "check_exit_codes"),
+    ),
+    Mutant(
+        "enumerate-size-refusal-dropped",
+        "src/ehrhart/classifier.py",
+        "    if needed > DEFAULT_BUDGET:\n"
+        "        raise BudgetExceededError(needed, DEFAULT_BUDGET)\n",
+        "",
+        ("tests/test_cli.py", "-k", "enumerate_refuses or enumerate_charges"),
+    ),
+    Mutant(
+        "realize-size-refusal-dropped",
+        "src/ehrhart/realizer.py",
+        "    if (d + 1) ** 2 > DEFAULT_BUDGET:\n"
+        "        raise BudgetExceededError((d + 1) ** 2, DEFAULT_BUDGET)\n",
+        "",
+        ("tests/test_realizer.py", "-k", "charges_the_witness"),
+    ),
 )
 
 
