@@ -7,7 +7,6 @@ out-of-scope verdict instead of a yes/no.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from operator import index
@@ -165,12 +164,35 @@ def enumerate_candidates(d: int, max_sum: int = MAX_SUM) -> Iterator[tuple[tuple
     # The extras of a candidate with sum 1 + k form a k-multiset of {1..d}.
     needed = sum(math.comb(d + k - 1, k) for k in range(max_sum)) * (d + 1)
     if needed > DEFAULT_BUDGET:
-        raise BudgetExceededError(needed, DEFAULT_BUDGET)
-    cands = []
-    for extra in range(max_sum):
-        for positions in itertools.combinations_with_replacement(range(1, d + 1), extra):
-            cand = [1] + [0] * d
-            for p in positions:
-                cand[p] += 1
-            cands.append(tuple(cand))
-    return ((cand, is_realizable(cand)) for cand in sorted(cands))
+        raise BudgetExceededError(needed, DEFAULT_BUDGET, "candidate table", "entries")
+    return ((cand, is_realizable(cand)) for cand in _lexicographic(d, max_sum - 1))
+
+
+def _lexicographic(d: int, extra: int) -> Iterator[tuple[int, ...]]:
+    """Every (1, c_1, ..., c_d) with c_i >= 0 and sum(c) <= extra, in
+    lexicographic order, made one at a time.
+
+    The successor of c is the least candidate above it.  While sum(c) <
+    extra that is c + e_d.  At sum(c) = extra no candidate above c agrees
+    with it up to its last nonzero position p, so the successor raises
+    position p - 1 by one and clears position p; from p = 1 (or with no
+    nonzero position) there is none.
+    """
+    if extra < 0:
+        return
+    c = [1] + [0] * d
+    total = 0
+    last = 0
+    while True:
+        yield tuple(c)
+        if total < extra:
+            c[d] += 1
+            total += 1
+            last = d
+        elif last <= 1:
+            return
+        else:
+            total -= c[last] - 1
+            c[last] = 0
+            last -= 1
+            c[last] += 1

@@ -75,13 +75,51 @@ def _no_digit_limit():
 
 
 def _emit(payload: dict, as_json: bool) -> None:
+    """Write the payload: ``key value`` lines, or with ``as_json`` the line
+    that ``json.dumps(payload)`` gives.
+
+    A tuple value is a matrix, a tuple of integer rows such as a witness's
+    vertices.  It is written a row at a time, each row as
+    ``str(list(row))``, which is its ``json.dumps``, so that no string of
+    the whole matrix is ever built.  Under ``as_json`` the keys between
+    matrices go through one ``json.dumps`` per run, and a payload without a
+    matrix through one in all."""
+    write = sys.stdout.write
     if as_json:
         import json
 
-        print(json.dumps(payload))
+        if tuple not in map(type, payload.values()):
+            print(json.dumps(payload))
+            return
+        write("{")
+        sep = ""
+        run = {}
+        for key, value in payload.items():
+            if type(value) is not tuple:
+                run[key] = value
+                continue
+            if run:
+                write(sep + json.dumps(run)[1:-1])
+                run = {}
+                sep = ", "
+            write(f"{sep}{json.dumps(key)}: [")
+            row_sep = ""
+            for row in value:
+                write(row_sep + str(list(row)))
+                row_sep = ", "
+            write("]")
+            sep = ", "
+        if run:
+            write(sep + json.dumps(run)[1:-1])
+        write("}\n")
         return
     for key, value in payload.items():
-        if isinstance(value, list) and value and isinstance(value[0], dict):
+        if type(value) is tuple:
+            write(key)
+            for row in value:
+                write(f" {list(row)}")
+            write("\n")
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
             for row in value:
                 print(f"{key} " + " ".join(str(v) for v in row.values()))
         elif isinstance(value, list):
@@ -165,7 +203,7 @@ def cmd_realize(args) -> tuple[dict, int]:
             raise InvalidInputError(f"cannot write witness file: {exc}")
         payload["out"] = args.out
     else:
-        payload["vertices"] = [list(v) for v in simplex.vertices]
+        payload["vertices"] = simplex.vertices
     return payload, 0
 
 

@@ -5,7 +5,7 @@ Two independent routes are provided on purpose:
 * ``delta_from_box`` enumerates the integer points of the half-open
   fundamental parallelepiped of the lifted simplex, reading their weights
   off the left transform of the Smith normal form of the lifted vertex
-  matrix with integer arithmetic only.  It scales with the normalized
+  matrix, given as sparse rows, with integer arithmetic only.  It scales with the normalized
   volume, not the dimension, so it handles the large-d constructed simplices.
   Each numerator vector of the box group is one packed int, w =
   D_max.bit_length() + 1 bits per coordinate, so a step to the next box
@@ -20,7 +20,7 @@ Two independent routes are provided on purpose:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
 from .intlinalg import smith_normal_form
@@ -93,11 +93,21 @@ class BoxPoint(NamedTuple):
     coefficients: tuple[Fraction, ...]
 
 
+def _combine(rows: list[dict[int, int]], pairs: Iterable[tuple[int, int]], width: int) -> list[int]:
+    """The sum of x * rows[j] over the pairs (j, x), dense, from the sparse rows."""
+    out = [0] * width
+    for j, x in pairs:
+        for c, y in rows[j].items():
+            out[c] += x * y
+    return out
+
+
 def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[int, int]]]:
     """(D_max, w, walk): the walk yields, lazily, every box point as its
     numerator vector c packed into one int, with the sum of its fields.
 
-    The box group is Z^(d+1) modulo the row lattice of the lifted matrix m.
+    The box group is Z^(d+1) modulo the row lattice of the lifted matrix m,
+    read as its sparse rows.
     With ``U m V = D`` its weight vectors are frac(sum_i (w_i / D_i) U_i) for
     w_i in [0, D_i) (Beck-Robins, ch. 3), so each numerator is an integer sum
     of the rows (D_max / D_i) U_i taken modulo D_max, and the box point's
@@ -113,8 +123,9 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[
     volume = s.normalized_volume
     if volume > budget:
         raise BudgetExceededError(volume, budget)
-    m = s.lifted_matrix()
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(s.lifted_matrix())
+    m = list(s.lifted_matrix())
+    n = len(m)
     if math.prod(snf.diag) != volume:
         raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
     dmax = snf.diag[-1]
@@ -126,13 +137,11 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[
             # Membership: c m = 0 (mod D_max), so that the point c m / D_max
             # is integral.  It is linear in c, so checking the generators
             # covers every numerator they generate.
-            point = [0] * len(m)
-            for j, x in g.items():
-                point = [p + x * y for p, y in zip(point, m[j])]
+            point = _combine(m, g.items(), n)
             if any(p % dmax for p in point):
                 raise InternalInconsistencyError(f"weight generator {g}/{dmax} is not a box point")
             levels.append((sum(x << j * w for j, x in g.items()), sum(g.values()), di))
-    ones = ((1 << w * len(m)) - 1) // ((1 << w) - 1)
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
     k = ones * ((1 << w - 1) - dmax)
     high = ones << w - 1
     # Without invariant factors > 1 the group is trivial: one level of one
@@ -192,13 +201,14 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
 
     dmax, w, walk = _box_walk(s, budget)
     mask = (1 << w) - 1
-    columns = list(zip(*s.lifted_matrix()))
+    m = list(s.lifted_matrix())
+    n = len(m)
     pts = []
     for packed, total in walk:
-        c = [packed >> j * w & mask for j in range(len(columns))]
+        c = [packed >> j * w & mask for j in range(n)]
         point = []
-        for col in columns:
-            x, rest = divmod(sum(a * b for a, b in zip(c, col)), dmax)
+        for y in _combine(m, enumerate(c), n):
+            x, rest = divmod(y, dmax)
             if rest:
                 raise InternalInconsistencyError(f"weights {c}/{dmax} give a non-integer point")
             point.append(x)

@@ -38,14 +38,16 @@ class ParameterError(EhrhartError):
 
 
 class BudgetExceededError(EhrhartError):
-    """An enumeration (box points or bounding-box candidates) would exceed
-    the configured work budget."""
+    """A task would exceed the configured work budget: ``needed`` of what it
+    counts, ``unit``, against ``budget``.  The box route counts box points
+    and the counting route bounding-box points, both as an enumeration."""
     exit_code = 4
 
-    def __init__(self, needed: int, budget: int):
-        super().__init__(f"enumeration needs {needed} points, budget is {budget}")
+    def __init__(self, needed: int, budget: int, task: str = "enumeration", unit: str = "points"):
+        super().__init__(f"{task} needs {needed} {unit}, budget is {budget}")
         self.needed = needed
         self.budget = budget
+        self.unit = unit
 
 
 class InconsistentCountsError(EhrhartError):

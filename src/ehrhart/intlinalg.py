@@ -1,28 +1,24 @@
 """Exact integer linear algebra.
 
 Everything here runs on Python's arbitrary-precision integers, so
-intermediate growth can never overflow.  Matrices are plain sequences of
-integer rows.  The one elimination is fraction-free (Bareiss).  Its views
-give the column rank profile with the last pivot, from a sweep of the rows
-that hold no pivot yet, and integer forms that read off exact solutions and
-membership in the column space, from a Gauss-Jordan sweep of every row.
-Beside it sits a Smith normal form that keeps only its left transform.
+intermediate growth can never overflow.  Matrices are sequences of sparse
+rows ``{column: value}`` that leave their zeros out, so they take memory in
+their nonzero entries only.  The one elimination is fraction-free (Bareiss).
+Its views give the column rank profile with the last pivot, from a sweep of
+the rows that hold no pivot yet, and integer forms that read off exact
+solutions and membership in the column space, from a Gauss-Jordan sweep of
+every row.  Beside it sits a Smith normal form that keeps only its left
+transform.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DimensionError, SingularMatrixError
 
 
-Rows = Sequence[Sequence[int]]
-
-
-def _require_square(m: Rows, what: str) -> int:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionError(f"{what} needs a square matrix, got rows of lengths {[len(r) for r in m]}")
-    return n
+# A matrix as its rows {column: value}, which leave every zero entry out.
+SparseRows = Iterable[Mapping[int, int]]
 
 
 class SnfDecomposition(NamedTuple):
@@ -38,57 +34,87 @@ class SnfDecomposition(NamedTuple):
     diag: tuple[int, ...]
 
 
-def _eliminate(a: list[Sequence[int]], k: int, jordan: bool) -> tuple[list[int], list[int], int]:
-    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the rows
-    ``a`` on their first k columns, replacing the items of ``a`` (no row is
-    mutated).
+def _eliminate(a: list[Mapping[int, int]], k: int, jordan: bool) -> tuple[list[int], list[int], int]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
+    sparse rows ``a`` on their columns below k, replacing the items of ``a``
+    (no row given is mutated).
 
-    Each step takes the first free row, one that holds no pivot yet, with a
-    nonzero entry in the column as the pivot row, and replaces every other
-    swept row by (p * row - f * pivot_row) / prev, where p is the new pivot,
-    f the row's entry in the pivot column and prev the previous pivot.  By
+    Each step takes the first free row, one that holds no pivot yet, with an
+    entry in the column as the pivot row, and replaces every other swept row
+    by (p * row - f * pivot_row) / prev, where p is the new pivot, f the
+    row's entry in the pivot column and prev the previous pivot.  By
     Sylvester's identity the division is exact and every entry stays a minor
-    of the input, so entries never grow beyond them.  A column with no
-    nonzero entry in a free row depends on the columns before it and gets no
-    pivot.  Returns (pivot columns, their rows, last pivot).
+    of the input, so entries never grow beyond them.  A column with no entry
+    in a free row depends on the columns before it and gets no pivot.
+    Returns (pivot columns, their rows, last pivot).
 
     The swept rows are the free rows, and with ``jordan`` also the pivot
     rows.  A free row gets the same updates either way, so the pivots and
     the last pivot do not depend on ``jordan``.  With it (Gauss-Jordan) every
-    pivot row reads ``last * e_c`` on the first k columns at the end, and
+    pivot row reads ``last * e_c`` on the columns below k at the end, and
     every other row is zero there; without it the pivot rows are left as
     they were when they took their pivot.
+
+    Each step finds the rows with an entry in its column by one dict lookup
+    per free row.  When p = prev, as unit pivots give, a row with no entry
+    there is unchanged, and a row with one becomes row - (f / prev) *
+    pivot_row, exact entry by entry: the update touches the pivot row's
+    entries only, on a copy of the row made the first time it changes.
+    Otherwise every other swept row is rewritten, the rows with no entry in
+    the column rescaled by p / prev.
     """
-    free = list(range(len(a)))
+    n = len(a)
+    free = list(range(n))
+    # Whether a[i] is a dict made here, which may be updated in place.
+    own = [False] * n
     pivots = []
     pivot_rows = []
     prev = 1
     for c in range(k):
-        r = next((i for i in free if a[i][c] != 0), None)
-        if r is None:
+        here = [i for i in free if c in a[i]]
+        if not here:
             continue
+        r = here[0]
         free.remove(r)
         top = a[r]
         p = top[c]
-        for i in pivot_rows + free if jordan else free:
+        if p == prev:
+            swept = here[1:]
+            if jordan:
+                swept += [i for i in pivot_rows if c in a[i]]
+        else:
+            swept = pivot_rows + free if jordan else free
+        for i in swept:
             row = a[i]
-            f = row[c]
-            if f != 0:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            elif p != prev:
-                a[i] = [p * x // prev for x in row]
+            f = row.get(c)
+            if p == prev:
+                if not own[i]:
+                    a[i] = row = dict(row)
+                    own[i] = True
+                for j, y in top.items():
+                    v = row.get(j, 0) - f * y // prev
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+            elif f:
+                keys = row.keys() | top.keys()
+                a[i] = {j: v for j in keys if (v := (p * row.get(j, 0) - f * top.get(j, 0)) // prev)}
+                own[i] = True
+            else:
+                a[i] = {j: p * x // prev for j, x in row.items()}
+                own[i] = True
         prev = p
         pivots.append(c)
         pivot_rows.append(r)
     return pivots, pivot_rows, prev
 
 
-def column_pivots(rows: Rows) -> tuple[tuple[int, ...], int]:
-    """The columns of the matrix with these rows that are independent of the
-    columns before them, and the last pivot: ± the determinant when the
-    matrix is square and nonsingular.  Only the free rows are swept: nothing
-    here reads the pivot rows afterwards."""
-    width = len(rows[0]) if rows else 0
+def column_pivots(rows: SparseRows, width: int) -> tuple[tuple[int, ...], int]:
+    """The columns, below ``width``, of the matrix with these rows that are
+    independent of the columns before them, and the last pivot: ± the
+    determinant when the matrix is square and nonsingular.  Only the free
+    rows are swept: nothing here reads the pivot rows afterwards."""
     pivots, _, last = _eliminate(list(rows), width, jordan=False)
     return tuple(pivots), last
 
@@ -105,26 +131,27 @@ class ColumnForms(NamedTuple):
     equalities: tuple[tuple[int, ...], ...]
 
 
-def column_forms(rows: Rows) -> ColumnForms:
-    """Forms of the matrix m with these rows, from one fraction-free
-    Gauss-Jordan elimination of ``[m | I]``.
+def column_forms(rows: SparseRows, width: int) -> ColumnForms:
+    """Forms of the matrix m with these rows and ``width`` columns, from one
+    fraction-free Gauss-Jordan elimination of ``[m | I]``.
 
     The elimination multiplies ``[m | I]`` on the left by an invertible T
     with T m = (den * I; 0) up to the order of the rows, so the identity part
     of the pivot rows gives the forms and that of the other rows the
-    equalities.  Raises SingularMatrixError when the columns are dependent.
+    equalities; both are returned dense.  Raises SingularMatrixError when the
+    columns are dependent.
     """
-    size = len(rows)
-    width = len(rows[0]) if rows else 0
-    a = [list(r) + [int(i == j) for j in range(size)] for i, r in enumerate(rows)]
+    a = [{**row, width + i: 1} for i, row in enumerate(rows)]
+    size = len(a)
     pivots, pivot_rows, last = _eliminate(a, width, jordan=True)
     if len(pivots) < width:
         raise SingularMatrixError("columns are linearly dependent")
     sign = -1 if last < 0 else 1
+    identity = range(width, width + size)
     return ColumnForms(
         den=sign * last,
-        forms=tuple(tuple(sign * x for x in a[r][width:]) for r in pivot_rows),
-        equalities=tuple(tuple(a[i][width:]) for i in range(size) if i not in pivot_rows),
+        forms=tuple(tuple(sign * a[r].get(j, 0) for j in identity) for r in pivot_rows),
+        equalities=tuple(tuple(a[i].get(j, 0) for j in identity) for i in range(size) if i not in pivot_rows),
     )
 
 
@@ -138,7 +165,7 @@ def _axpy(out: dict, src: dict, f: int) -> None:
             del out[c]
 
 
-def smith_normal_form(m: Rows) -> SnfDecomposition:
+def smith_normal_form(m: SparseRows) -> SnfDecomposition:
     """Diagonalize by unimodular row and column operations.
 
     Returns (left, diag) with left @ m @ right diagonal for some unimodular
@@ -167,8 +194,10 @@ def smith_normal_form(m: Rows) -> SnfDecomposition:
     submatrix entries; ties within a row go to the least position, never to
     dict order.
     """
-    n = _require_square(m, "smith_normal_form")
-    a = [{j: x for j, x in enumerate(row) if x} for row in m]
+    a = list(map(dict, m))
+    n = len(a)
+    if any(row and (min(row) < 0 or max(row) >= n) for row in a):
+        raise DimensionError(f"smith_normal_form needs a square matrix, got {n} rows with columns outside 0..{n - 1}")
     left = [{i: 1} for i in range(n)]
     perm = list(range(n))
     pos = list(range(n))

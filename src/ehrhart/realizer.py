@@ -11,7 +11,7 @@ recomputing its delta-vector; nothing relies on the formulas being right.
 from __future__ import annotations
 
 from operator import index
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .classifier import Verdict, is_realizable
 from .engine import DEFAULT_BUDGET, delta_from_box
@@ -175,6 +175,16 @@ def construct_lemma_second(k: int, ell: int) -> LatticeSimplex:
     return LatticeSimplex(verts)
 
 
+def _hnf_vertices(b: list[int], volume: int) -> Iterator[list[int]]:
+    """The vertices 0, e_1, ..., e_(d-1), (b, volume) of Z^d, d = len(b) + 1,
+    one at a time, so that only the simplex's copy of them is ever whole."""
+    d = len(b) + 1
+    yield [0] * d
+    for k in range(1, d):
+        yield _unit(k, d)
+    yield b + [volume]
+
+
 def realize(entries) -> tuple[LatticeSimplex, ConstructionPlan]:
     """Build a full-dimensional witness simplex for a YES candidate.
 
@@ -204,7 +214,7 @@ def realize(entries) -> tuple[LatticeSimplex, ConstructionPlan]:
 
     d = len(entries) - 1
     if (d + 1) ** 2 > DEFAULT_BUDGET:
-        raise BudgetExceededError((d + 1) ** 2, DEFAULT_BUDGET)
+        raise BudgetExceededError((d + 1) ** 2, DEFAULT_BUDGET, "witness", "vertex entries")
     volume = sum(entries)
     positions = [i for i in range(1, d + 1) for _ in range(entries[i])]
     if volume == 1:
@@ -221,7 +231,7 @@ def realize(entries) -> tuple[LatticeSimplex, ConstructionPlan]:
     # For V > 1, n1 >= 1, so a ends in a_d = 1 and b_i = -a_i mod V.
     a = [0] * (d + 1 - n1 - n2) + [2] * n2 + [1] * n1
     b = [-x % volume for x in a[1:d]]
-    simplex = LatticeSimplex([[0] * d] + [_unit(k, d) for k in range(1, d)] + [b + [volume]])
+    simplex = LatticeSimplex(_hnf_vertices(b, volume))
     plan = ConstructionPlan("cyclic", {"volume": volume, "b": b})
     recomputed = delta_from_box(simplex)
     if tuple(recomputed.entries) != entries:

@@ -1,6 +1,9 @@
 """Integral lattice simplices: validation, membership, pyramid lifting, IO.
 
-A simplex is stored as its vertex list.  Its construction eliminates the
+A simplex is stored as its vertex tuples, the one dense copy of it, and the
+positions of their nonzero entries, read once.  Every matrix built from them
+is a list of sparse rows ``{column: value}``, built in time and memory
+proportional to the nonzero entries.  Construction eliminates the
 vertex columns (v_j, 1) once, fraction-free and sweeping only the rows that
 hold no pivot yet, to check affine independence; the last pivot is ± the
 normalized volume.  On first use the same columns beside an identity,
@@ -11,8 +14,9 @@ membership in a dilate is a sign test on integer dot products.
 """
 from __future__ import annotations
 
+from itertools import compress, repeat
 from operator import index
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DegenerateSimplexError, DimensionError
 from .intlinalg import ColumnForms, column_forms, column_pivots
@@ -24,35 +28,43 @@ if TYPE_CHECKING:
 class LatticeSimplex:
     """d+1 integer vertices in Z^N spanning an affine d-space."""
 
-    __slots__ = ("ambient_dim", "vertices", "dim", "_volume", "_forms")
+    __slots__ = ("ambient_dim", "vertices", "dim", "_support", "_volume", "_forms")
 
-    def __init__(self, vertices: Sequence[Sequence[int]]):
+    def __init__(self, vertices: Iterable[Iterable[int]]):
         """Raises DimensionError for no vertices or mixed lengths,
         DegenerateSimplexError for affinely dependent vertices, and TypeError
         for an entry that is not an integer (``operator.index``: 0.5 or '3'
-        is refused, never truncated or parsed)."""
-        if len(vertices) < 1:
-            raise DimensionError("a simplex needs at least one vertex")
+        is refused, never truncated or parsed).
+
+        The vertices are read once, in order, so an iterator that makes each
+        vertex as it is read keeps only the simplex's own tuples alive."""
         verts = tuple(tuple(map(index, v)) for v in vertices)
+        if not verts:
+            raise DimensionError("a simplex needs at least one vertex")
         n = len(verts[0])
         if any(len(v) != n for v in verts):
             raise DimensionError("vertices have mixed ambient dimensions")
         self.ambient_dim = n
         self.vertices = verts
         self.dim = len(verts) - 1
+        self._support = tuple(map(tuple, map(compress, repeat(range(n)), verts)))
         # Pivot columns come in ascending order, so the first position i with
         # no pivot i is the first vertex in the affine span of those before it.
         k = len(verts)
-        pivots, last = column_pivots(self._weight_rows())
+        pivots, last = column_pivots(self._weight_rows(), k)
         if len(pivots) < k:
             raise DegenerateSimplexError(next(i for i, c in enumerate(pivots + (k,)) if i != c))
         self._volume = abs(last)
         self._forms = None
 
-    def _weight_rows(self) -> list[list[int]]:
-        # The matrix whose column j is (v_j, 1).  map, not a comprehension:
-        # zip reuses its row tuple only when nothing else still holds it.
-        return list(map(list, zip(*self.vertices))) + [[1] * len(self.vertices)]
+    def _weight_rows(self) -> list[dict[int, int]]:
+        """The sparse rows of the matrix whose column j is (v_j, 1)."""
+        rows = [{} for _ in range(self.ambient_dim)]
+        for j, (v, support) in enumerate(zip(self.vertices, self._support)):
+            for i in support:
+                rows[i][j] = v[i]
+        rows.append(dict.fromkeys(range(len(self.vertices)), 1))
+        return rows
 
     def weight_forms(self) -> ColumnForms:
         """Integer forms for the barycentric weights of points of dilates.
@@ -63,7 +75,7 @@ class LatticeSimplex:
         which only constrains simplices with d < N.  Built on first use and kept.
         """
         if self._forms is None:
-            self._forms = column_forms(self._weight_rows())
+            self._forms = column_forms(self._weight_rows(), len(self.vertices))
         return self._forms
 
     def _weight_numerators(self, p: Sequence[int], n: int) -> tuple[int, list[int]] | None:
@@ -113,10 +125,19 @@ class LatticeSimplex:
         self._require_full_dimensional()
         return self._volume
 
-    def lifted_matrix(self) -> list[list[int]]:
-        """The rows (v_i, 1) of the (d+1)x(d+1) lifted matrix; full-dimensional only."""
+    def lifted_matrix(self) -> Iterator[dict[int, int]]:
+        """The sparse rows (v_i, 1) of the (d+1)x(d+1) lifted matrix, made one
+        at a time, so that a reader that keeps its own copy never holds two;
+        full-dimensional only."""
         self._require_full_dimensional()
-        return [[*v, 1] for v in self.vertices]
+        return self._lifted_rows()
+
+    def _lifted_rows(self) -> Iterator[dict[int, int]]:
+        n = self.ambient_dim
+        for v, support in zip(self.vertices, self._support):
+            row = {j: v[j] for j in support}
+            row[n] = 1
+            yield row
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices

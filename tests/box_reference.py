@@ -13,19 +13,20 @@ from typing import Iterator
 
 from ehrhart.engine import BoxPoint
 from ehrhart.intlinalg import smith_normal_form
+from matrices import lifted_dense
 
 
 def reference_numerators(s) -> tuple[int, list[tuple[int, ...]]]:
     """(D_max, every numerator c) with the box points' weights equal to c / D_max."""
-    m = s.lifted_matrix()
-    snf = smith_normal_form(m)
+    n = s.dim + 1
+    snf = smith_normal_form(s.lifted_matrix())
     dmax = snf.diag[-1]
     orders = []
     gens = []
     for i, di in enumerate(snf.diag):
         if di > 1:
             orders.append(di)
-            gens.append(tuple(dmax // di * snf.left[i].get(j, 0) % dmax for j in range(len(m))))
+            gens.append(tuple(dmax // di * snf.left[i].get(j, 0) % dmax for j in range(n)))
 
     def walk(level: int, c: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if level == len(gens):
@@ -36,13 +37,13 @@ def reference_numerators(s) -> tuple[int, list[tuple[int, ...]]]:
             yield from walk(level + 1, c)
             c = tuple((a + b) % dmax for a, b in zip(c, g))
 
-    return dmax, list(walk(0, (0,) * len(m)))
+    return dmax, list(walk(0, (0,) * n))
 
 
 def reference_box_points(s) -> list[BoxPoint]:
     """Every box point, sorted by (degree, point)."""
     dmax, numerators = reference_numerators(s)
-    columns = list(zip(*s.lifted_matrix()))
+    columns = list(zip(*lifted_dense(s)))
     pts = []
     for c in numerators:
         degree, rest = divmod(sum(c), dmax)

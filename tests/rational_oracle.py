@@ -10,10 +10,19 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ehrhart.errors import DimensionError, SingularMatrixError
-from ehrhart.intlinalg import Rows, _require_square
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+# A dense matrix: its rows, each a sequence of integers.
+Rows = Sequence[Sequence[int]]
+
+
+def require_square(m: Rows, what: str) -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise DimensionError(f"{what} needs a square matrix, got rows of lengths {[len(r) for r in m]}")
+    return n
 
 
 def solve_rational(m: Rows, b: Sequence[int]) -> tuple[Fraction, ...]:
@@ -23,7 +32,7 @@ def solve_rational(m: Rows, b: Sequence[int]) -> tuple[Fraction, ...]:
     """
     from fractions import Fraction
 
-    n = _require_square(m, "solve")
+    n = require_square(m, "solve")
     if len(b) != n:
         raise DimensionError(f"rhs has length {len(b)}, expected {n}")
     a = [[Fraction(x) for x in m[i]] + [Fraction(b[i])] for i in range(n)]

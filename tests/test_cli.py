@@ -96,6 +96,24 @@ def test_delta_box_budget_flag(section2_file, capsys):
     assert code == 0 and "delta 1 0 1 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["delta", "{s2}", "--budget", "1"], "enumeration needs 2 points, budget is 1"),
+        (["delta", "{s2}", "--method", "counts", "--budget", "7"], "enumeration needs 8 points, budget is 7"),
+        (["realize", "1", *["0"] * 10_000], "witness needs 100020001 vertex entries, budget is 100000000"),
+        (["enumerate", "--dim", "600"], "candidate table needs 108721501 entries, budget is 100000000"),
+    ],
+    ids=["box-points", "bounding-box-points", "witness-entries", "table-entries"],
+)
+def test_budget_refusals_name_what_they_count(section2_file, capsys, argv, error):
+    # The box route counts box points (the normalized volume), the counting
+    # route the bounding box of a dilate, realize the (d + 1)^2 entries of
+    # the witness and enumerate the candidates times d + 1.
+    code, out = run(capsys, *(a.format(s2=section2_file) for a in argv))
+    assert (code, out) == (4, f"status budget-exceeded\nerror {error}\nexit_code 4\n")
+
+
 def test_delta_rejects_json_boolean(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text('{"ambient_dim": 2, "vertices": [[0, 0], [true, 0], [0, 1]]}')
@@ -278,7 +296,7 @@ def test_realize_unwritable_out_is_invalid_input(tmp_path, capsys, where):
 def test_realize_refuses_a_witness_past_the_budget(capsys):
     # d = 10,000: (d + 1)^2 vertex entries, just past the default 10^8.
     code, out = run(capsys, "realize", "1", *["0"] * 10_000)
-    assert code == 4 and out.startswith("status budget-exceeded\nerror enumeration needs 100020001 points")
+    assert code == 4 and out.startswith("status budget-exceeded\nerror witness needs 100020001 vertex entries")
 
 
 def test_realize_not_realizable(capsys):
@@ -312,8 +330,8 @@ def test_enumerate_low_dimension(capsys):
 @pytest.mark.parametrize("dim", ["100000000000000000000", "9" * 2000], ids=["20-digit", "2000-digit"])
 def test_enumerate_refuses_a_table_past_the_budget(capsys, dim):
     code, out = run(capsys, "enumerate", "--dim", dim)
-    assert code == 4 and out.startswith("status budget-exceeded\nerror enumeration needs ")
-    assert out.endswith(" points, budget is 100000000\nexit_code 4\n")
+    assert code == 4 and out.startswith("status budget-exceeded\nerror candidate table needs ")
+    assert out.endswith(" entries, budget is 100000000\nexit_code 4\n")
 
 
 def test_enumerate_charges_every_printed_entry(capsys, monkeypatch):
@@ -322,7 +340,7 @@ def test_enumerate_charges_every_printed_entry(capsys, monkeypatch):
     assert run(capsys, "enumerate", "--dim", "3")[0] == 0
     monkeypatch.setattr(classifier, "DEFAULT_BUDGET", 39)
     code, out = run(capsys, "enumerate", "--dim", "3")
-    assert code == 4 and out == "status budget-exceeded\nerror enumeration needs 40 points, budget is 39\nexit_code 4\n"
+    assert code == 4 and out == "status budget-exceeded\nerror candidate table needs 40 entries, budget is 39\nexit_code 4\n"
 
 
 def test_enumerate_realize_all(capsys):
@@ -424,7 +442,9 @@ def test_json_output_is_one_line_per_command(argv, code, patch, section2_file, t
     assert got == code
     assert out.endswith("\n") and out.count("\n") == 1
     doc = json.loads(out)
-    assert [doc] == payloads
+    # The payload may hold tuples (a witness's vertices), which JSON writes as lists.
+    assert len(payloads) == 1 and out == json.dumps(payloads[0]) + "\n"
+    assert doc == json.loads(json.dumps(payloads[0]))
     assert doc["status"] == cli._STATUS[code] and doc["exit_code"] == code
 
 

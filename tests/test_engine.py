@@ -39,6 +39,7 @@ from ehrhart.errors import (
 from ehrhart.intlinalg import SnfDecomposition, smith_normal_form
 from ehrhart.realizer import construct_lemma_first, construct_section2, realize
 from ehrhart.simplex import LatticeSimplex, dump_simplex, unit_simplex
+from matrices import lifted_dense
 from rational_oracle import solve_rational
 
 
@@ -48,7 +49,7 @@ def brute_force_box_points(s):
 
     The weights are r = z (m^T)^-1; the inverse comes from ``solve_rational``
     on the unit vectors, scaled to integers by a common denominator."""
-    m = s.lifted_matrix()
+    m = lifted_dense(s)
     k = s.dim + 1
     mt = [list(col) for col in zip(*m)]
     lo = [sum(min(0, x) for x in col) for col in mt]
@@ -152,7 +153,7 @@ def test_box_points_match_oracle_on_random_simplices(verts):
     pts = assert_box_route_matches_the_reference(s)
     assert sorted((p.point, p.degree) for p in pts) == brute_force_box_points(s)
     assert pts == sorted(pts, key=lambda p: (p.degree, p.point))
-    m = s.lifted_matrix()
+    m = lifted_dense(s)
     for p in pts:
         assert all(0 <= r < 1 for r in p.coefficients)
         assert tuple(sum(r * x for r, x in zip(p.coefficients, col)) for col in zip(*m)) == p.point

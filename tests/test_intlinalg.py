@@ -17,7 +17,6 @@ from ehrhart.errors import DimensionError, SingularMatrixError
 from ehrhart.intlinalg import (
     ColumnForms,
     SnfDecomposition,
-    _require_square,
     column_forms,
     column_pivots,
     smith_normal_form,
@@ -25,7 +24,8 @@ from ehrhart.intlinalg import (
 from ehrhart.realizer import realize
 from ehrhart.simplex import unit_simplex
 from elimination_reference import reference_column_forms, reference_column_pivots
-from rational_oracle import solve_rational
+from matrices import dense, lifted_dense, sparse, sparse_rows
+from rational_oracle import require_square, solve_rational
 
 # Edge matrices of the two volume constructions (vertex rows with v_0 = 0).
 SECTION2_D3 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -43,12 +43,17 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def sparse(row):
-    return {j: x for j, x in enumerate(row) if x}
+# The package takes sparse rows; the tests write their matrices dense.
+def pivots_of(m):
+    return column_pivots(sparse_rows(m), len(m[0]) if m else 0)
 
 
-def dense(rows, n):
-    return [[row.get(j, 0) for j in range(n)] for row in rows]
+def forms_of(m):
+    return column_forms(sparse_rows(m), len(m[0]) if m else 0)
+
+
+def snf_of(m):
+    return smith_normal_form(sparse_rows(m))
 
 
 def transpose(rows):
@@ -91,20 +96,20 @@ sparse_matrix = st.integers(1, 6).flatmap(
 
 
 def test_determinant_identity():
-    assert column_pivots(identity(5)) == ((0, 1, 2, 3, 4), 1)
+    assert pivots_of(identity(5)) == ((0, 1, 2, 3, 4), 1)
 
 
 def test_determinant_empty_matrix_is_one():
-    assert column_pivots([]) == ((), 1)
+    assert pivots_of([]) == ((), 1)
 
 
 def test_determinant_section2_edge_matrix():
-    pivots, last = column_pivots(SECTION2_D3)
+    pivots, last = pivots_of(SECTION2_D3)
     assert len(pivots) == 3 and abs(last) == 2
 
 
 def test_determinant_lemma31_edge_matrix():
-    pivots, last = column_pivots(LEMMA31_K1)
+    pivots, last = pivots_of(LEMMA31_K1)
     assert len(pivots) == 5 and abs(last) == 3
 
 
@@ -114,7 +119,7 @@ def test_determinant_lemma31_edge_matrix():
 @example([[0, 0, 2], [3, 0, 0], [0, 5, 0]])
 @example([[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]])
 def test_determinant_matches_cofactor_expansion(rows):
-    pivots, last = column_pivots(rows)
+    pivots, last = pivots_of(rows)
     det = cofactor_det(rows)
     assert (len(pivots) == len(rows)) == (det != 0)
     if det != 0:
@@ -123,27 +128,30 @@ def test_determinant_matches_cofactor_expansion(rows):
 
 def test_snf_rejects_non_square():
     with pytest.raises(DimensionError):
-        smith_normal_form([[1, 2, 3], [4, 5, 6]])
+        snf_of([[1, 2, 3], [4, 5, 6]])
+    # Sparse rows have no length: a column outside 0..n-1 is what fails.
     with pytest.raises(DimensionError):
-        smith_normal_form([[1, 2], [3]])
+        smith_normal_form([{0: 1}, {0: 3, 2: 1}])
+    with pytest.raises(DimensionError):
+        smith_normal_form([{-1: 1}])
 
 
 def test_snf_normalizes_diagonal_divisibility():
-    snf = smith_normal_form([[2, 0], [0, 3]])
+    snf = snf_of([[2, 0], [0, 3]])
     assert snf.diag == (1, 6)
 
 
 def test_snf_identity():
-    snf = smith_normal_form(identity(4))
+    snf = snf_of(identity(4))
     assert snf.diag == (1, 1, 1, 1)
 
 
 def test_snf_lifted_section2_matrix():
     # |det| = 2, and the only abelian group of order 2 is Z/2, so the
     # invariant factors are forced.
-    pivots, last = column_pivots(LIFTED_S2_D3)
+    pivots, last = pivots_of(LIFTED_S2_D3)
     assert len(pivots) == 4 and abs(last) == 2
-    snf = smith_normal_form(LIFTED_S2_D3)
+    snf = snf_of(LIFTED_S2_D3)
     assert snf.diag == (1, 1, 1, 2)
 
 
@@ -154,7 +162,7 @@ def reference_smith_normal_form(m):
     units included, where ``smith_normal_form`` ends a unit pivot's slot
     after its row operations.  ``left`` is returned in the same sparse rows
     ``{column: value}``."""
-    n = _require_square(m, "smith_normal_form")
+    n = require_square(m, "smith_normal_form")
     a = [list(row) for row in m]
     left = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -234,7 +242,7 @@ def check_snf(m):
     as U M V = D for a unimodular V: U has determinant +-1, row i of U M is
     D_i times a row Q_i (zero when D_i = 0), and the rows Q_i with D_i != 0
     extend to a unimodular matrix, i.e. their maximal minors have gcd 1."""
-    snf = smith_normal_form(m)
+    snf = snf_of(m)
     n = len(m)
     d = snf.diag
     left = dense(snf.left, n)
@@ -260,7 +268,7 @@ def check_snf(m):
             for cols in itertools.combinations(range(n), len(quotient))
         ]
         assert math.gcd(*minors) == 1
-    pivots, last = column_pivots(m)
+    pivots, last = pivots_of(m)
     assert math.prod(d) == abs(cofactor_det(m)) == (abs(last) if len(pivots) == n else 0)
 
 
@@ -306,15 +314,15 @@ def test_snf_invariants_hold(rows):
 @example([[2, 3], [3, 5]])
 @example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
 def test_snf_matches_the_reference(rows):
-    assert smith_normal_form(rows) == reference_smith_normal_form(rows)
+    assert snf_of(rows) == reference_smith_normal_form(rows)
 
 
 @pytest.mark.parametrize("d", range(3, 41))
 def test_snf_matches_the_reference_on_every_witness(d):
     for cand, decision in enumerate_candidates(d):
         if decision.verdict is Verdict.YES:
-            m = realize(cand)[0].lifted_matrix()
-            assert smith_normal_form(m) == reference_smith_normal_form(m)
+            s = realize(cand)[0]
+            assert smith_normal_form(s.lifted_matrix()) == reference_smith_normal_form(lifted_dense(s))
 
 
 def scramble(vertices, rng):
@@ -351,7 +359,7 @@ def test_snf_matches_the_reference_on_scrambled_cyclic_simplices_and_joins():
         if rng.random() < 0.5:
             verts = scramble(verts, rng)
         m = [v + [1] for v in verts]
-        snf = smith_normal_form(m)
+        snf = snf_of(m)
         assert snf == reference_smith_normal_form(m)
         assert math.prod(snf.diag) == volume
 
@@ -367,7 +375,7 @@ def test_snf_breaks_pivot_ties_by_position_not_by_dict_order():
     # column 0, now at position 2 but first in its row's dict, and column 1
     # at position 1.  The pivot is the one at the lesser position.
     m = [[-2, 2, 0], [0, 0, 0], [0, 0, 1]]
-    snf = smith_normal_form(m)
+    snf = snf_of(m)
     assert snf == reference_smith_normal_form(m)
     assert snf == SnfDecomposition(left=[{2: 1}, {0: 1}, {1: 1}], diag=(1, 2, 0))
 
@@ -382,8 +390,8 @@ def sum_candidate(d, *extras):
 
 @pytest.mark.parametrize("extras", [(100,), (67, 133)], ids=["sum2", "sum3"])
 def test_snf_matches_the_reference_on_witnesses_at_d200(extras):
-    m = realize(sum_candidate(200, *extras))[0].lifted_matrix()
-    assert smith_normal_form(m) == reference_smith_normal_form(m)
+    s = realize(sum_candidate(200, *extras))[0]
+    assert smith_normal_form(s.lifted_matrix()) == reference_smith_normal_form(lifted_dense(s))
 
 
 def test_snf_of_the_sum3_witness_at_d1404():
@@ -448,32 +456,32 @@ tall_matrix = st.integers(1, 4).flatmap(
 
 
 def test_column_forms_section2_weights():
-    cf = column_forms(transpose(LIFTED_S2_D3))
+    cf = forms_of(transpose(LIFTED_S2_D3))
     assert cf.den == 2 and cf.equalities == ()
     # (1, 1, 1, 2) is the half-sum of the lifted vertices.
     assert [sum(a * b for a, b in zip(f, (1, 1, 1, 2))) for f in cf.forms] == [1, 1, 1, 1]
 
 
 def test_column_pivots_skip_dependent_columns():
-    assert column_pivots([[1, 2, 0], [1, 2, 1], [0, 0, 3]]) == ((0, 2), 1)
-    assert column_pivots([[0, 0], [0, 0]]) == ((), 1)
+    assert pivots_of([[1, 2, 0], [1, 2, 1], [0, 0, 3]]) == ((0, 2), 1)
+    assert pivots_of([[0, 0], [0, 0]]) == ((), 1)
     for rows in (SECTION2_D3, LEMMA31_K1, LIFTED_S2_D3, transpose(LIFTED_S2_D3)):
-        pivots, last = column_pivots(rows)
+        pivots, last = pivots_of(rows)
         assert pivots == tuple(range(len(rows))) and abs(last) == abs(cofactor_det(rows))
     with pytest.raises(SingularMatrixError):
-        column_forms([[1, 2, 0], [1, 2, 1], [0, 0, 3]])
+        forms_of([[1, 2, 0], [1, 2, 1], [0, 0, 3]])
 
 
 @given(small_matrix, st.lists(st.integers(-9, 9), min_size=4, max_size=4))
 @settings(max_examples=100)
 def test_column_forms_match_solve_rational(rows, bs):
     det = cofactor_det(rows)
-    pivots, last = column_pivots(rows)
+    pivots, last = pivots_of(rows)
     if det == 0:
         assert len(pivots) < len(rows)
         return
     assert len(pivots) == len(rows) and last in (det, -det)
-    cf = column_forms(rows)
+    cf = forms_of(rows)
     b = bs[: len(rows)]
     assert cf.den == abs(det) and cf.equalities == ()
     x = solve_rational(rows, b)
@@ -489,13 +497,13 @@ def test_column_forms_cut_out_the_column_space(rows, ys):
     for j in range(k):
         if rank([columns[c] for c in greedy + [j]], m) == len(greedy) + 1:
             greedy.append(j)
-    pivots, last = column_pivots(rows)
+    pivots, last = pivots_of(rows)
     assert pivots == tuple(greedy)
     if len(greedy) < k:
         return
     if m == k:
         assert abs(last) == abs(cofactor_det(rows))
-    cf = column_forms(rows)
+    cf = forms_of(rows)
     assert cf.den > 0 and len(cf.equalities) == m - k
     y = ys[:k]
     x = [sum(r[j] * y[j] for j in range(k)) for r in rows]
@@ -541,7 +549,7 @@ def planted_matrix(draw):
 def test_column_pivots_match_the_gauss_jordan_reference(rows):
     # The free-row sweep must give exactly the pivots and the last pivot of
     # the Gauss-Jordan sweep, rank-deficient and non-square matrices included.
-    pivots, last = column_pivots(rows)
+    pivots, last = pivots_of(rows)
     assert (pivots, last) == reference_column_pivots(rows)
     if len(pivots) == len(rows[0]):
-        assert column_forms(rows) == ColumnForms(*reference_column_forms(rows))
+        assert forms_of(rows) == ColumnForms(*reference_column_forms(rows))

@@ -179,7 +179,7 @@ def test_realize_charges_the_witness_to_the_budget(monkeypatch):
     monkeypatch.setattr(realizer, "DEFAULT_BUDGET", 16)
     assert realize((1, 0, 1, 0))[0].dim == 3
     monkeypatch.setattr(realizer, "DEFAULT_BUDGET", 15)
-    with pytest.raises(BudgetExceededError, match="needs 16 points, budget is 15"):
+    with pytest.raises(BudgetExceededError, match="witness needs 16 vertex entries, budget is 15"):
         realize((1, 0, 1, 0))
     # The verdict comes first: a NO or out-of-scope candidate is not charged.
     with pytest.raises(NotRealizableError):

@@ -109,8 +109,8 @@ def test_records_from_the_program_equal_records_built_by_hand():
     assert box_points(construct_section2(3))[1] == BoxPoint(
         (1, 1, 1, 2), 2, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     )
-    assert smith_normal_form([[2, 0], [0, 1]]) == SnfDecomposition([{1: 1}, {0: 1}], (1, 2))
-    assert column_forms([[2, 0], [0, 2]]) == ColumnForms(4, ((2, 0), (0, 2)), ())
+    assert smith_normal_form([{0: 2}, {1: 1}]) == SnfDecomposition([{1: 1}, {0: 1}], (1, 2))
+    assert column_forms([{0: 2}, {1: 2}], 2) == ColumnForms(4, ((2, 0), (0, 2)), ())
     assert realize([1, 0, 1, 0])[1] == ConstructionPlan("cyclic", {"volume": 2, "b": [1, 1]})
     assert delta_from_box(unit_simplex(3)) == DeltaVector((1, 0, 0, 0))
 

@@ -156,8 +156,8 @@ def test_pyramid_preserves_normalized_volume():
 
 
 def test_lifted_matrix_unit_triangle():
-    m = unit_simplex(2).lifted_matrix()
-    assert m == [[0, 0, 1], [1, 0, 1], [0, 1, 1]]
+    m = list(unit_simplex(2).lifted_matrix())
+    assert m == [{2: 1}, {0: 1, 2: 1}, {1: 1, 2: 1}]
     assert math.prod(smith_normal_form(m).diag) == 1
 
 
@@ -187,9 +187,9 @@ def test_one_elimination_per_simplex_and_forms_built_once(monkeypatch):
     def counted(name):
         original = getattr(simplex_module, name)
 
-        def wrapper(rows):
+        def wrapper(rows, width):
             calls[name] += 1
-            return original(rows)
+            return original(rows, width)
 
         return wrapper
 
