@@ -186,8 +186,9 @@ def smith_normal_form(m: SparseRows) -> SnfDecomposition:
     operations would zero: no later step reads a row before its slot, and
     the diagonal is read at the pivot's column.
 
-    The work runs on sparse rows ``{column: value}`` that hold no zeros, and
-    ``left`` is returned as such rows.  Columns keep their original keys:
+    ``m`` is n sparse rows, read once, with columns in 0..n-1.  The work
+    runs on copies of them, and ``left`` is returned as such rows.  Columns
+    keep their original keys:
     ``perm[p]`` is the column at position p and ``pos`` its inverse, so a
     column swap touches two entries.  Rows from slot t on are zero at every
     position before t, so a row's entries are exactly its remaining

@@ -1,5 +1,8 @@
 """Inequality checks and the sum <= 3 realizability decision."""
 
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +122,38 @@ def test_enumerate_is_lexicographic_and_deterministic():
     cands = [c for c, _ in enumerate_candidates(5, 3)]
     assert cands == sorted(cands)
     assert cands == [c for c, _ in enumerate_candidates(5, 3)]
+
+
+def sorted_candidate_table(d, max_sum):
+    """The table as a sorted list: every multiset of extra positions, built
+    whole and sorted, the way enumerate_candidates once made it."""
+    cands = []
+    for extra in range(max_sum):
+        for positions in itertools.combinations_with_replacement(range(1, d + 1), extra):
+            cand = [1] + [0] * d
+            for p in positions:
+                cand[p] += 1
+            cands.append(tuple(cand))
+    return sorted(cands)
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_enumerate_yields_the_sorted_table(d):
+    for max_sum in range(-1, 4):
+        assert [c for c, _ in enumerate_candidates(d, max_sum)] == sorted_candidate_table(d, max_sum)
+
+
+def test_enumerate_holds_one_candidate_at_a_time():
+    # d = 200 has 20,503 candidates of 201 entries, about 33 MiB as a list.
+    tracemalloc.start()
+    try:
+        candidates = enumerate_candidates(200)
+        first, decision = next(candidates)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert first == (1,) + (0,) * 200 and decision.verdict is Verdict.YES
+    assert held <= 2**20
 
 
 @pytest.mark.parametrize("d", range(3, 21))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrhart import classifier, cli, realizer
+from ehrhart.classifier import Verdict, enumerate_candidates
 from ehrhart.cli import main
 from ehrhart.engine import DeltaVector
 from ehrhart.errors import EhrhartError
@@ -446,6 +447,48 @@ def test_json_output_is_one_line_per_command(argv, code, patch, section2_file, t
     assert len(payloads) == 1 and out == json.dumps(payloads[0]) + "\n"
     assert doc == json.loads(json.dumps(payloads[0]))
     assert doc["status"] == cli._STATUS[code] and doc["exit_code"] == code
+
+
+def reference_text(payload):
+    """The key/value lines of a payload whose matrices are lists, written as
+    the CLI wrote every payload before it streamed matrices: one line per
+    key, a list's items joined by spaces, one line per dict row."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            lines += [f"{key} " + " ".join(str(v) for v in row.values()) for row in value]
+        elif isinstance(value, list):
+            lines.append(f"{key} " + " ".join(str(v) for v in value))
+        else:
+            lines.append(f"{key} {value}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("d", range(3, 41))
+def test_realize_writes_every_witness_as_the_one_shot_encoders_did(d, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def spy(payload, as_json):
+        payloads.append(payload)
+        emit(payload, as_json)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    # One parser for all the calls; building it is most of a small job.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for cand, decision in enumerate_candidates(d):
+        if decision.verdict is not Verdict.YES:
+            continue
+        for flags in ([], ["--json"]):
+            code, out = run(capsys, *flags, "realize", *map(str, cand))
+            payload = payloads.pop()
+            # The witness's own vertex tuples, written without a copy.
+            assert code == 0 and type(payload["vertices"]) is tuple
+            listed = {k: [list(v) for v in value] if k == "vertices" else value for k, value in payload.items()}
+            assert out == (json.dumps(listed) + "\n" if flags else reference_text(listed))
+            if flags:
+                assert out == json.dumps(payload) + "\n"
 
 
 CLOSED_PIPE_PROBE = """

@@ -1,5 +1,8 @@
 """Construction families and the cyclic realize witness, verified by recomputation."""
 
+import sys
+import tracemalloc
+
 import pytest
 
 from ehrhart import realizer
@@ -155,6 +158,22 @@ def test_realize_verifies_a_sum3_candidate_at_d400(monkeypatch):
     s, plan = realize(entries)
     assert recomputed == [tuple(entries)]
     assert s.dim == 400 and plan.parameters["volume"] == 3
+
+
+@pytest.mark.parametrize("extras", [(351,), (234, 468)], ids=["sum2", "sum3"])
+def test_realize_at_d702_peaks_near_its_vertex_tuples(extras):
+    # The witness's vertex tuples are the one dense object: realize's own
+    # vertex lists, a transposed copy or a dense lifted matrix would each
+    # add as much again.
+    entries = [1] + [int(i in extras) for i in range(1, 703)]
+    tracemalloc.start()
+    try:
+        s, _ = realize(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tuples = sys.getsizeof(s.vertices) + sum(map(sys.getsizeof, s.vertices))
+    assert s.dim == 702 and peak <= 1.3 * tuples
 
 
 def test_realize_raises_when_verification_fails(monkeypatch):

@@ -55,6 +55,7 @@ ELIMINATION_TESTS = (
     "tests/test_simplex.py::test_construction_matches_the_reference_on_every_witness",
 )
 WALK_TESTS = ("tests/test_engine.py", "-k", "box_route or box_points or delta_from_box")
+EMIT_TESTS = ("tests/test_cli.py", "-k", "every_witness")
 
 MUTANTS = (
     Mutant(
@@ -111,18 +112,31 @@ MUTANTS = (
         WALK_TESTS,
     ),
     Mutant(
+        "walk-membership-combines-rows-without-the-ones-entry",
+        ENGINE,
+        "point = _combine(m, g.items(), n)",
+        "point = _combine([{c: y for c, y in row.items() if c < n - 1} for row in m], g.items(), n)",
+        WALK_TESTS,
+    ),
+    Mutant(
         "elimination-no-rescale-of-zero-entry-rows",
         INTLINALG,
-        "            elif p != prev:\n"
-        "                a[i] = [p * x // prev for x in row]\n",
-        "",
+        "a[i] = {j: p * x // prev for j, x in row.items()}",
+        "a[i] = dict(row)",
+        ELIMINATION_TESTS,
+    ),
+    Mutant(
+        "elimination-unit-update-when-p-is-not-prev",
+        INTLINALG,
+        "(v := (p * row.get(j, 0) - f * top.get(j, 0)) // prev)",
+        "(v := row.get(j, 0) - f * top.get(j, 0) // prev)",
         ELIMINATION_TESTS,
     ),
     Mutant(
         "elimination-pivot-from-a-pivot-row",
         INTLINALG,
-        "r = next((i for i in free if a[i][c] != 0), None)",
-        "r = next((i for i in range(len(a)) if a[i][c] != 0), None)",
+        "here = [i for i in free if c in a[i]]",
+        "here = [i for i in range(n) if c in a[i]]",
         ELIMINATION_TESTS,
     ),
     Mutant(
@@ -143,7 +157,7 @@ MUTANTS = (
         "enumerate-size-refusal-dropped",
         "src/ehrhart/classifier.py",
         "    if needed > DEFAULT_BUDGET:\n"
-        "        raise BudgetExceededError(needed, DEFAULT_BUDGET)\n",
+        '        raise BudgetExceededError(needed, DEFAULT_BUDGET, "candidate table", "entries")\n',
         "",
         ("tests/test_cli.py", "-k", "enumerate_refuses or enumerate_charges"),
     ),
@@ -151,9 +165,23 @@ MUTANTS = (
         "realize-size-refusal-dropped",
         "src/ehrhart/realizer.py",
         "    if (d + 1) ** 2 > DEFAULT_BUDGET:\n"
-        "        raise BudgetExceededError((d + 1) ** 2, DEFAULT_BUDGET)\n",
+        '        raise BudgetExceededError((d + 1) ** 2, DEFAULT_BUDGET, "witness", "vertex entries")\n',
         "",
         ("tests/test_realizer.py", "-k", "charges_the_witness"),
+    ),
+    Mutant(
+        "json-matrix-rows-without-separator",
+        "src/ehrhart/cli.py",
+        '                row_sep = ", "\n',
+        '                row_sep = ""\n',
+        EMIT_TESTS,
+    ),
+    Mutant(
+        "text-matrix-rows-without-separator",
+        "src/ehrhart/cli.py",
+        'write(f" {list(row)}")',
+        "write(str(list(row)))",
+        EMIT_TESTS,
     ),
 )
 
