@@ -286,9 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         payload, code = {"error": str(exc)}, exc.exit_code
     except ValueError as exc:
         payload, code = {"error": str(exc)}, InvalidInputError.exit_code
-    out = {"status": _STATUS[code]}
-    out.update(payload)
-    out["exit_code"] = code
+    out = {"status": _STATUS[code], **payload, "exit_code": code}
+    # One dict of the output is alive while it is written, not two.
+    del payload
     try:
         with _no_digit_limit():
             _emit(out, args.json)

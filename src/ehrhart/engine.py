@@ -123,9 +123,9 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[
     volume = s.normalized_volume
     if volume > budget:
         raise BudgetExceededError(volume, budget)
-    snf = smith_normal_form(s.lifted_matrix())
-    m = list(s.lifted_matrix())
+    m = s.lifted_matrix()
     n = len(m)
+    snf = smith_normal_form(m)
     if math.prod(snf.diag) != volume:
         raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
     dmax = snf.diag[-1]
@@ -201,7 +201,7 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
 
     dmax, w, walk = _box_walk(s, budget)
     mask = (1 << w) - 1
-    m = list(s.lifted_matrix())
+    m = s.lifted_matrix()
     n = len(m)
     pts = []
     for packed, total in walk:

@@ -197,7 +197,8 @@ def smith_normal_form(m: SparseRows) -> SnfDecomposition:
     """
     a = list(map(dict, m))
     n = len(a)
-    if any(row and (min(row) < 0 or max(row) >= n) for row in a):
+    columns = set().union(*a)
+    if columns and (min(columns) < 0 or max(columns) >= n):
         raise DimensionError(f"smith_normal_form needs a square matrix, got {n} rows with columns outside 0..{n - 1}")
     left = [{i: 1} for i in range(n)]
     perm = list(range(n))
@@ -232,15 +233,13 @@ def smith_normal_form(m: SparseRows) -> SnfDecomposition:
             piv = top[ct]
             ltop = left[t]
             done = True
-            for i in range(t + 1, n):
+            for i in [i for i in range(t + 1, n) if ct in a[i]]:
                 row = a[i]
-                f = row.get(ct)
-                if f:
-                    f = -(f // piv)
-                    _axpy(row, top, f)
-                    _axpy(left[i], ltop, f)
-                    if ct in row:
-                        done = False
+                f = -(row[ct] // piv)
+                _axpy(row, top, f)
+                _axpy(left[i], ltop, f)
+                if ct in row:
+                    done = False
             if least == 1:
                 # A unit divides everything: nothing is left to reduce or fold.
                 break

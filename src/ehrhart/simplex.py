@@ -14,9 +14,9 @@ membership in a dilate is a sign test on integer dot products.
 """
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from operator import index
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DegenerateSimplexError, DimensionError
 from .intlinalg import ColumnForms, column_forms, column_pivots
@@ -47,7 +47,10 @@ class LatticeSimplex:
         self.ambient_dim = n
         self.vertices = verts
         self.dim = len(verts) - 1
-        self._support = tuple(map(tuple, map(compress, repeat(range(n)), verts)))
+        # The positions of each vertex's nonzero entries; a vertex with no
+        # zero entry shares the one range of all positions.
+        coordinates = range(n)
+        self._support = tuple(coordinates if all(v) else tuple(compress(coordinates, v)) for v in verts)
         # Pivot columns come in ascending order, so the first position i with
         # no pivot i is the first vertex in the affine span of those before it.
         k = len(verts)
@@ -125,19 +128,15 @@ class LatticeSimplex:
         self._require_full_dimensional()
         return self._volume
 
-    def lifted_matrix(self) -> Iterator[dict[int, int]]:
-        """The sparse rows (v_i, 1) of the (d+1)x(d+1) lifted matrix, made one
-        at a time, so that a reader that keeps its own copy never holds two;
-        full-dimensional only."""
+    def lifted_matrix(self) -> list[dict[int, int]]:
+        """The rows (v_i, 1) of the (d+1)x(d+1) lifted matrix as sparse rows,
+        made from the nonzero positions; full-dimensional only."""
         self._require_full_dimensional()
-        return self._lifted_rows()
-
-    def _lifted_rows(self) -> Iterator[dict[int, int]]:
         n = self.ambient_dim
-        for v, support in zip(self.vertices, self._support):
-            row = {j: v[j] for j in support}
+        rows = [{j: v[j] for j in support} for v, support in zip(self.vertices, self._support)]
+        for row in rows:
             row[n] = 1
-            yield row
+        return rows
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices

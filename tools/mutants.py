@@ -83,11 +83,11 @@ MUTANTS = (
         "snf-unit-exit-before-row-operations",
         INTLINALG,
         "            done = True\n"
-        "            for i in range(t + 1, n):\n",
+        "            for i in [i for i in range(t + 1, n) if ct in a[i]]:\n",
         "            if least == 1:\n"
         "                break\n"
         "            done = True\n"
-        "            for i in range(t + 1, n):\n",
+        "            for i in [i for i in range(t + 1, n) if ct in a[i]]:\n",
         SNF_TESTS,
     ),
     Mutant(
