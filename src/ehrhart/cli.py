@@ -84,13 +84,13 @@ def _emit(payload: dict, as_json: bool) -> None:
     the whole matrix is ever built.  Under ``as_json`` the keys between
     matrices go through one ``json.dumps`` per run, and a payload without a
     matrix through one in all."""
-    write = sys.stdout.write
     if as_json:
         import json
 
         if tuple not in map(type, payload.values()):
             print(json.dumps(payload))
             return
+        write = sys.stdout.write
         write("{")
         sep = ""
         run = {}
@@ -113,6 +113,7 @@ def _emit(payload: dict, as_json: bool) -> None:
             write(sep + json.dumps(run)[1:-1])
         write("}\n")
         return
+    write = sys.stdout.write
     for key, value in payload.items():
         if type(value) is tuple:
             write(key)

@@ -5,8 +5,9 @@ Two independent routes are provided on purpose:
 * ``delta_from_box`` enumerates the integer points of the half-open
   fundamental parallelepiped of the lifted simplex, reading their weights
   off the left transform of the Smith normal form of the lifted vertex
-  matrix, given as sparse rows, with integer arithmetic only.  It scales with the normalized
-  volume, not the dimension, so it handles the large-d constructed simplices.
+  matrix, given as sparse rows, with integer arithmetic only.  It scales
+  with the normalized volume, not the dimension, so it handles the large-d
+  constructed simplices.
   Each numerator vector of the box group is one packed int, w =
   D_max.bit_length() + 1 bits per coordinate, so a step to the next box
   point is one add, one mask and one popcount, whatever d is.
@@ -123,9 +124,9 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[
     volume = s.normalized_volume
     if volume > budget:
         raise BudgetExceededError(volume, budget)
-    m = s.lifted_matrix()
+    snf = smith_normal_form(s.lifted_matrix())
+    m = list(s.lifted_matrix())
     n = len(m)
-    snf = smith_normal_form(m)
     if math.prod(snf.diag) != volume:
         raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
     dmax = snf.diag[-1]
@@ -201,7 +202,7 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
 
     dmax, w, walk = _box_walk(s, budget)
     mask = (1 << w) - 1
-    m = s.lifted_matrix()
+    m = list(s.lifted_matrix())
     n = len(m)
     pts = []
     for packed, total in walk:

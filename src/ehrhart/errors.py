@@ -47,7 +47,6 @@ class BudgetExceededError(EhrhartError):
         super().__init__(f"{task} needs {needed} {unit}, budget is {budget}")
         self.needed = needed
         self.budget = budget
-        self.unit = unit
 
 
 class InconsistentCountsError(EhrhartError):

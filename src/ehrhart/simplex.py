@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import index
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DegenerateSimplexError, DimensionError
 from .intlinalg import ColumnForms, column_forms, column_pivots
@@ -50,11 +50,15 @@ class LatticeSimplex:
         # The positions of each vertex's nonzero entries; a vertex with no
         # zero entry shares the one range of all positions.
         coordinates = range(n)
-        self._support = tuple(coordinates if all(v) else tuple(compress(coordinates, v)) for v in verts)
+        self._support = [coordinates if all(v) else tuple(compress(coordinates, v)) for v in verts]
         # Pivot columns come in ascending order, so the first position i with
         # no pivot i is the first vertex in the affine span of those before it.
+        # The all-ones row goes first: it takes the pivot of column 0, a unit,
+        # whose updates turn the coordinate rows into the edges v_j - v_0, and
+        # as a pivot row it is not swept again.
         k = len(verts)
-        pivots, last = column_pivots(self._weight_rows(), k)
+        rows = self._weight_rows()
+        pivots, last = column_pivots([rows[-1], *rows[:-1]], k)
         if len(pivots) < k:
             raise DegenerateSimplexError(next(i for i, c in enumerate(pivots + (k,)) if i != c))
         self._volume = abs(last)
@@ -128,15 +132,19 @@ class LatticeSimplex:
         self._require_full_dimensional()
         return self._volume
 
-    def lifted_matrix(self) -> list[dict[int, int]]:
+    def lifted_matrix(self) -> Iterator[dict[int, int]]:
         """The rows (v_i, 1) of the (d+1)x(d+1) lifted matrix as sparse rows,
-        made from the nonzero positions; full-dimensional only."""
+        made one at a time from the nonzero positions, so that a reader that
+        copies them never holds two copies; full-dimensional only."""
         self._require_full_dimensional()
+        return self._lifted_rows()
+
+    def _lifted_rows(self) -> Iterator[dict[int, int]]:
         n = self.ambient_dim
-        rows = [{j: v[j] for j in support} for v, support in zip(self.vertices, self._support)]
-        for row in rows:
+        for v, support in zip(self.vertices, self._support):
+            row = {j: v[j] for j in support}
             row[n] = 1
-        return rows
+            yield row
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices

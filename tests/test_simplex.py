@@ -156,7 +156,7 @@ def test_pyramid_preserves_normalized_volume():
 
 
 def test_lifted_matrix_unit_triangle():
-    m = unit_simplex(2).lifted_matrix()
+    m = list(unit_simplex(2).lifted_matrix())
     assert m == [{2: 1}, {0: 1, 2: 1}, {1: 1, 2: 1}]
     assert math.prod(smith_normal_form(m).diag) == 1
 
