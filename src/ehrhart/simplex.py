@@ -2,7 +2,7 @@
 
 A simplex is stored as its vertex tuples, the one dense copy of it, and the
 positions of their nonzero entries, read once.  Every matrix built from them
-is a list of sparse rows ``{column: value}``, built in time and memory
+is given as sparse rows ``{column: value}``, made in time and memory
 proportional to the nonzero entries.  Construction eliminates the
 vertex columns (v_j, 1) once, fraction-free and sweeping only the rows that
 hold no pivot yet, to check affine independence; the last pivot is ± the
