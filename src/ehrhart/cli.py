@@ -78,44 +78,34 @@ def _emit(payload: dict, as_json: bool) -> None:
     """Write the payload: ``key value`` lines, or with ``as_json`` the line
     that ``json.dumps(payload)`` gives.
 
-    A tuple value is a matrix, a tuple of integer rows such as a witness's
-    vertices.  It is written a row at a time, each row as
-    ``str(list(row))``, which is its ``json.dumps``, so that no string of
-    the whole matrix is ever built.  Under ``as_json`` the keys between
-    matrices go through one ``json.dumps`` per run, and a payload without a
-    matrix through one in all."""
+    A witness's ``vertices``, the one matrix an output holds, is written a
+    row at a time, each row as ``str(list(row))``, which is its
+    ``json.dumps``, so that no string of the whole matrix is ever built.
+    Under ``as_json`` the keys before it and the keys after it go through one
+    ``json.dumps`` each."""
+    write = sys.stdout.write
     if as_json:
         import json
 
-        if tuple not in map(type, payload.values()):
-            print(json.dumps(payload))
-            return
-        write = sys.stdout.write
-        write("{")
-        sep = ""
-        run = {}
-        for key, value in payload.items():
-            if type(value) is not tuple:
-                run[key] = value
-                continue
-            if run:
-                write(sep + json.dumps(run)[1:-1])
-                run = {}
-                sep = ", "
-            write(f"{sep}{json.dumps(key)}: [")
+        items = iter(payload.items())
+        before = {}
+        for key, value in items:
+            if key == "vertices":
+                break
+            before[key] = value
+        after = dict(items)
+        write(json.dumps(before)[:-1])
+        if "vertices" in payload:
+            write(', "vertices": [' if before else '"vertices": [')
             row_sep = ""
-            for row in value:
+            for row in payload["vertices"]:
                 write(row_sep + str(list(row)))
                 row_sep = ", "
             write("]")
-            sep = ", "
-        if run:
-            write(sep + json.dumps(run)[1:-1])
-        write("}\n")
+        write(", " + json.dumps(after)[1:] + "\n" if after else "}\n")
         return
-    write = sys.stdout.write
     for key, value in payload.items():
-        if type(value) is tuple:
+        if key == "vertices":
             write(key)
             for row in value:
                 write(f" {list(row)}")
@@ -288,8 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         payload, code = {"error": str(exc)}, InvalidInputError.exit_code
     out = {"status": _STATUS[code], **payload, "exit_code": code}
-    # One dict of the output is alive while it is written, not two.
-    del payload
     try:
         with _no_digit_limit():
             _emit(out, args.json)

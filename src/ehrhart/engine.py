@@ -103,12 +103,12 @@ def _combine(rows: list[dict[int, int]], pairs: Iterable[tuple[int, int]], width
     return out
 
 
-def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[int, int]]]:
-    """(D_max, w, walk): the walk yields, lazily, every box point as its
+def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, list[dict[int, int]], Iterator[tuple[int, int]]]:
+    """(D_max, w, m, walk): the walk yields, lazily, every box point as its
     numerator vector c packed into one int, with the sum of its fields.
 
     The box group is Z^(d+1) modulo the row lattice of the lifted matrix m,
-    read as its sparse rows.
+    its sparse rows built once and returned for the reader of the points.
     With ``U m V = D`` its weight vectors are frac(sum_i (w_i / D_i) U_i) for
     w_i in [0, D_i) (Beck-Robins, ch. 3), so each numerator is an integer sum
     of the rows (D_max / D_i) U_i taken modulo D_max, and the box point's
@@ -124,8 +124,8 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[
     volume = s.normalized_volume
     if volume > budget:
         raise BudgetExceededError(volume, budget)
-    snf = smith_normal_form(s.lifted_matrix())
-    m = list(s.lifted_matrix())
+    m = s.lifted_matrix()
+    snf = smith_normal_form(m)
     n = len(m)
     if math.prod(snf.diag) != volume:
         raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
@@ -147,7 +147,7 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[
     high = ones << w - 1
     # Without invariant factors > 1 the group is trivial: one level of one
     # step walks its one point, c = 0.
-    return dmax, w, _walk(levels or [(0, 0, 1)], 0, 0, 0, dmax, k, high)
+    return dmax, w, m, _walk(levels or [(0, 0, 1)], 0, 0, 0, dmax, k, high)
 
 
 def _walk(
@@ -200,9 +200,8 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
     """
     from fractions import Fraction
 
-    dmax, w, walk = _box_walk(s, budget)
+    dmax, w, m, walk = _box_walk(s, budget)
     mask = (1 << w) - 1
-    m = list(s.lifted_matrix())
     n = len(m)
     pts = []
     for packed, total in walk:
@@ -229,7 +228,7 @@ def delta_from_box(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> DeltaVect
 
     Raises BudgetExceededError when the normalized volume exceeds ``budget``.
     """
-    dmax, _, walk = _box_walk(s, budget)
+    dmax, _, _, walk = _box_walk(s, budget)
     entries = [0] * (s.dim + 1)
     for _, total in walk:
         entries[_degree(total, dmax)] += 1

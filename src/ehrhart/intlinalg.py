@@ -34,10 +34,13 @@ class SnfDecomposition(NamedTuple):
     diag: tuple[int, ...]
 
 
-def _eliminate(a: list[Mapping[int, int]], k: int, jordan: bool) -> tuple[list[int], list[int], int]:
+def _eliminate(
+    a: list[Mapping[int, int]], k: int, jordan: bool, owned: bool
+) -> tuple[list[int], list[int], int]:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
-    sparse rows ``a`` on their columns below k, replacing the items of ``a``
-    (no row given is mutated).
+    sparse rows ``a`` on their columns below k, replacing the items of ``a``.
+    With ``owned`` the rows are dicts that the caller made for this call and
+    are updated in place; without it no row given is mutated.
 
     Each step takes the first free row, one that holds no pivot yet, with an
     entry in the column as the pivot row, and replaces every other swept row
@@ -59,14 +62,15 @@ def _eliminate(a: list[Mapping[int, int]], k: int, jordan: bool) -> tuple[list[i
     per free row.  When p = prev, as unit pivots give, a row with no entry
     there is unchanged, and a row with one becomes row - (f / prev) *
     pivot_row, exact entry by entry: the update touches the pivot row's
-    entries only, on a copy of the row made the first time it changes.
+    entries only, on the row itself when it is owned, else on a copy made
+    the first time it changes.
     Otherwise every other swept row is rewritten, the rows with no entry in
     the column rescaled by p / prev.
     """
     n = len(a)
     free = list(range(n))
-    # Whether a[i] is a dict made here, which may be updated in place.
-    own = [False] * n
+    # Whether a[i] may be updated in place.
+    own = [owned] * n
     pivots = []
     pivot_rows = []
     prev = 1
@@ -115,7 +119,7 @@ def column_pivots(rows: SparseRows, width: int) -> tuple[tuple[int, ...], int]:
     independent of the columns before them, and the last pivot: ± the
     determinant when the matrix is square and nonsingular.  Only the free
     rows are swept: nothing here reads the pivot rows afterwards."""
-    pivots, _, last = _eliminate(list(rows), width, jordan=False)
+    pivots, _, last = _eliminate(list(rows), width, jordan=False, owned=False)
     return tuple(pivots), last
 
 
@@ -143,7 +147,7 @@ def column_forms(rows: SparseRows, width: int) -> ColumnForms:
     """
     a = [{**row, width + i: 1} for i, row in enumerate(rows)]
     size = len(a)
-    pivots, pivot_rows, last = _eliminate(a, width, jordan=True)
+    pivots, pivot_rows, last = _eliminate(a, width, jordan=True, owned=True)
     if len(pivots) < width:
         raise SingularMatrixError("columns are linearly dependent")
     sign = -1 if last < 0 else 1

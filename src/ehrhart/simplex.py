@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import index
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DegenerateSimplexError, DimensionError
 from .intlinalg import ColumnForms, column_forms, column_pivots
@@ -132,19 +132,17 @@ class LatticeSimplex:
         self._require_full_dimensional()
         return self._volume
 
-    def lifted_matrix(self) -> Iterator[dict[int, int]]:
+    def lifted_matrix(self) -> list[dict[int, int]]:
         """The rows (v_i, 1) of the (d+1)x(d+1) lifted matrix as sparse rows,
-        made one at a time from the nonzero positions, so that a reader that
-        copies them never holds two copies; full-dimensional only."""
+        made from the nonzero positions; full-dimensional only."""
         self._require_full_dimensional()
-        return self._lifted_rows()
-
-    def _lifted_rows(self) -> Iterator[dict[int, int]]:
         n = self.ambient_dim
+        rows = []
         for v, support in zip(self.vertices, self._support):
             row = {j: v[j] for j in support}
             row[n] = 1
-            yield row
+            rows.append(row)
+        return rows
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices

@@ -133,6 +133,13 @@ MUTANTS = (
         ELIMINATION_TESTS,
     ),
     Mutant(
+        "elimination-updates-the-given-rows-in-place",
+        INTLINALG,
+        "_eliminate(list(rows), width, jordan=False, owned=False)",
+        "_eliminate(list(rows), width, jordan=False, owned=True)",
+        ELIMINATION_TESTS,
+    ),
+    Mutant(
         "elimination-pivot-from-a-pivot-row",
         INTLINALG,
         "here = [i for i in free if c in a[i]]",
