@@ -21,7 +21,7 @@ Two independent routes are provided on purpose:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
 from .intlinalg import smith_normal_form
@@ -94,21 +94,12 @@ class BoxPoint(NamedTuple):
     coefficients: tuple[Fraction, ...]
 
 
-def _combine(rows: list[dict[int, int]], pairs: Iterable[tuple[int, int]], width: int) -> list[int]:
-    """The sum of x * rows[j] over the pairs (j, x), dense, from the sparse rows."""
-    out = [0] * width
-    for j, x in pairs:
-        for c, y in rows[j].items():
-            out[c] += x * y
-    return out
-
-
-def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, list[dict[int, int]], Iterator[tuple[int, int]]]:
-    """(D_max, w, m, walk): the walk yields, lazily, every box point as its
+def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[int, int]]]:
+    """(D_max, w, walk): the walk yields, lazily, every box point as its
     numerator vector c packed into one int, with the sum of its fields.
 
     The box group is Z^(d+1) modulo the row lattice of the lifted matrix m,
-    its sparse rows built once and returned for the reader of the points.
+    whose sparse rows the Smith normal form works on in place.
     With ``U m V = D`` its weight vectors are frac(sum_i (w_i / D_i) U_i) for
     w_i in [0, D_i) (Beck-Robins, ch. 3), so each numerator is an integer sum
     of the rows (D_max / D_i) U_i taken modulo D_max, and the box point's
@@ -124,9 +115,8 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, list[dict[int, 
     volume = s.normalized_volume
     if volume > budget:
         raise BudgetExceededError(volume, budget)
-    m = s.lifted_matrix()
-    snf = smith_normal_form(m)
-    n = len(m)
+    snf = smith_normal_form(s.lifted_matrix())
+    n = s.dim + 1
     if math.prod(snf.diag) != volume:
         raise InternalInconsistencyError(f"invariant factors {snf.diag} do not multiply to |det| = {volume}")
     dmax = snf.diag[-1]
@@ -138,7 +128,7 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, list[dict[int, 
             # Membership: c m = 0 (mod D_max), so that the point c m / D_max
             # is integral.  It is linear in c, so checking the generators
             # covers every numerator they generate.
-            point = _combine(m, g.items(), n)
+            point = s.lifted_combination(g.items())
             if any(p % dmax for p in point):
                 raise InternalInconsistencyError(f"weight generator {g}/{dmax} is not a box point")
             levels.append((sum(x << j * w for j, x in g.items()), sum(g.values()), di))
@@ -147,7 +137,7 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, list[dict[int, 
     high = ones << w - 1
     # Without invariant factors > 1 the group is trivial: one level of one
     # step walks its one point, c = 0.
-    return dmax, w, m, _walk(levels or [(0, 0, 1)], 0, 0, 0, dmax, k, high)
+    return dmax, w, _walk(levels or [(0, 0, 1)], 0, 0, 0, dmax, k, high)
 
 
 def _walk(
@@ -200,14 +190,14 @@ def box_points(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> list[BoxPoint
     """
     from fractions import Fraction
 
-    dmax, w, m, walk = _box_walk(s, budget)
+    dmax, w, walk = _box_walk(s, budget)
     mask = (1 << w) - 1
-    n = len(m)
+    n = s.dim + 1
     pts = []
     for packed, total in walk:
         c = [packed >> j * w & mask for j in range(n)]
         point = []
-        for y in _combine(m, enumerate(c), n):
+        for y in s.lifted_combination(enumerate(c)):
             x, rest = divmod(y, dmax)
             if rest:
                 raise InternalInconsistencyError(f"weights {c}/{dmax} give a non-integer point")
@@ -228,7 +218,7 @@ def delta_from_box(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> DeltaVect
 
     Raises BudgetExceededError when the normalized volume exceeds ``budget``.
     """
-    dmax, _, _, walk = _box_walk(s, budget)
+    dmax, _, walk = _box_walk(s, budget)
     entries = [0] * (s.dim + 1)
     for _, total in walk:
         entries[_degree(total, dmax)] += 1

@@ -34,13 +34,10 @@ class SnfDecomposition(NamedTuple):
     diag: tuple[int, ...]
 
 
-def _eliminate(
-    a: list[Mapping[int, int]], k: int, jordan: bool, owned: bool
-) -> tuple[list[int], list[int], int]:
+def _eliminate(a: list[dict[int, int]], k: int, jordan: bool) -> tuple[list[int], list[int], int]:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
-    sparse rows ``a`` on their columns below k, replacing the items of ``a``.
-    With ``owned`` the rows are dicts that the caller made for this call and
-    are updated in place; without it no row given is mutated.
+    sparse rows ``a`` on their columns below k, in place: a row is updated
+    or its item of ``a`` replaced.
 
     Each step takes the first free row, one that holds no pivot yet, with an
     entry in the column as the pivot row, and replaces every other swept row
@@ -62,15 +59,11 @@ def _eliminate(
     per free row.  When p = prev, as unit pivots give, a row with no entry
     there is unchanged, and a row with one becomes row - (f / prev) *
     pivot_row, exact entry by entry: the update touches the pivot row's
-    entries only, on the row itself when it is owned, else on a copy made
-    the first time it changes.
+    entries only.
     Otherwise every other swept row is rewritten, the rows with no entry in
     the column rescaled by p / prev.
     """
-    n = len(a)
-    free = list(range(n))
-    # Whether a[i] may be updated in place.
-    own = [owned] * n
+    free = list(range(len(a)))
     pivots = []
     pivot_rows = []
     prev = 1
@@ -92,9 +85,6 @@ def _eliminate(
             row = a[i]
             f = row.get(c)
             if p == prev:
-                if not own[i]:
-                    a[i] = row = dict(row)
-                    own[i] = True
                 for j, y in top.items():
                     v = row.get(j, 0) - f * y // prev
                     if v:
@@ -104,22 +94,21 @@ def _eliminate(
             elif f:
                 keys = row.keys() | top.keys()
                 a[i] = {j: v for j in keys if (v := (p * row.get(j, 0) - f * top.get(j, 0)) // prev)}
-                own[i] = True
             else:
                 a[i] = {j: p * x // prev for j, x in row.items()}
-                own[i] = True
         prev = p
         pivots.append(c)
         pivot_rows.append(r)
     return pivots, pivot_rows, prev
 
 
-def column_pivots(rows: SparseRows, width: int) -> tuple[tuple[int, ...], int]:
+def column_pivots(rows: Iterable[dict[int, int]], width: int) -> tuple[tuple[int, ...], int]:
     """The columns, below ``width``, of the matrix with these rows that are
     independent of the columns before them, and the last pivot: ± the
     determinant when the matrix is square and nonsingular.  Only the free
-    rows are swept: nothing here reads the pivot rows afterwards."""
-    pivots, _, last = _eliminate(list(rows), width, jordan=False, owned=False)
+    rows are swept: nothing here reads the pivot rows afterwards.  The rows,
+    distinct dicts, are the working rows and are changed."""
+    pivots, _, last = _eliminate(list(rows), width, jordan=False)
     return tuple(pivots), last
 
 
@@ -147,7 +136,7 @@ def column_forms(rows: SparseRows, width: int) -> ColumnForms:
     """
     a = [{**row, width + i: 1} for i, row in enumerate(rows)]
     size = len(a)
-    pivots, pivot_rows, last = _eliminate(a, width, jordan=True, owned=True)
+    pivots, pivot_rows, last = _eliminate(a, width, jordan=True)
     if len(pivots) < width:
         raise SingularMatrixError("columns are linearly dependent")
     sign = -1 if last < 0 else 1
@@ -169,7 +158,7 @@ def _axpy(out: dict, src: dict, f: int) -> None:
             del out[c]
 
 
-def smith_normal_form(m: SparseRows) -> SnfDecomposition:
+def smith_normal_form(m: Iterable[dict[int, int]]) -> SnfDecomposition:
     """Diagonalize by unimodular row and column operations.
 
     Returns (left, diag) with left @ m @ right diagonal for some unimodular
@@ -190,16 +179,16 @@ def smith_normal_form(m: SparseRows) -> SnfDecomposition:
     operations would zero: no later step reads a row before its slot, and
     the diagonal is read at the pivot's column.
 
-    ``m`` is n sparse rows, read once, with columns in 0..n-1.  The work
-    runs on copies of them, and ``left`` is returned as such rows.  Columns
-    keep their original keys:
+    ``m`` is n sparse rows, distinct dicts, with columns in 0..n-1.  They
+    are the working rows and are changed; ``left`` is returned as such
+    rows.  Columns keep their original keys:
     ``perm[p]`` is the column at position p and ``pos`` its inverse, so a
     column swap touches two entries.  Rows from slot t on are zero at every
     position before t, so a row's entries are exactly its remaining
     submatrix entries; ties within a row go to the least position, never to
     dict order.
     """
-    a = list(map(dict, m))
+    a = list(m)
     n = len(a)
     columns = set().union(*a)
     if columns and (min(columns) < 0 or max(columns) >= n):

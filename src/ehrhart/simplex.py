@@ -134,7 +134,8 @@ class LatticeSimplex:
 
     def lifted_matrix(self) -> list[dict[int, int]]:
         """The rows (v_i, 1) of the (d+1)x(d+1) lifted matrix as sparse rows,
-        made from the nonzero positions; full-dimensional only."""
+        new on every call and made from the nonzero positions;
+        full-dimensional only."""
         self._require_full_dimensional()
         n = self.ambient_dim
         rows = []
@@ -143,6 +144,19 @@ class LatticeSimplex:
             row[n] = 1
             rows.append(row)
         return rows
+
+    def lifted_combination(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        """The sum of x * (v_j, 1) over the pairs (j, x), a combination of
+        the rows of the lifted matrix, dense, read off the nonzero positions
+        of the vertices."""
+        n = self.ambient_dim
+        out = [0] * (n + 1)
+        for j, x in pairs:
+            v = self.vertices[j]
+            for c in self._support[j]:
+                out[c] += x * v[c]
+            out[n] += x
+        return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices

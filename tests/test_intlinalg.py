@@ -314,9 +314,7 @@ def test_snf_invariants_hold(rows):
 @example([[2, 3], [3, 5]])
 @example([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
 def test_snf_matches_the_reference(rows):
-    given = sparse_rows(rows)
-    assert smith_normal_form(given) == reference_smith_normal_form(rows)
-    assert given == sparse_rows(rows)
+    assert snf_of(rows) == reference_smith_normal_form(rows)
 
 
 @pytest.mark.parametrize("d", range(3, 41))
@@ -551,10 +549,7 @@ def planted_matrix(draw):
 def test_column_pivots_match_the_gauss_jordan_reference(rows):
     # The free-row sweep must give exactly the pivots and the last pivot of
     # the Gauss-Jordan sweep, rank-deficient and non-square matrices included.
-    given = sparse_rows(rows)
-    pivots, last = column_pivots(given, len(rows[0]))
+    pivots, last = pivots_of(rows)
     assert (pivots, last) == reference_column_pivots(rows)
     if len(pivots) == len(rows[0]):
-        assert column_forms(given, len(rows[0])) == ColumnForms(*reference_column_forms(rows))
-    # The elimination replaces rows; it never changes one it was given.
-    assert given == sparse_rows(rows)
+        assert forms_of(rows) == ColumnForms(*reference_column_forms(rows))

@@ -49,6 +49,7 @@ class Mutant(NamedTuple):
 
 INTLINALG = "src/ehrhart/intlinalg.py"
 ENGINE = "src/ehrhart/engine.py"
+SIMPLEX = "src/ehrhart/simplex.py"
 SNF_TESTS = ("tests/test_intlinalg.py", "-k", "snf")
 ELIMINATION_TESTS = (
     "tests/test_intlinalg.py::test_column_pivots_match_the_gauss_jordan_reference",
@@ -112,10 +113,10 @@ MUTANTS = (
         WALK_TESTS,
     ),
     Mutant(
-        "walk-membership-combines-rows-without-the-ones-entry",
-        ENGINE,
-        "point = _combine(m, g.items(), n)",
-        "point = _combine([{c: y for c, y in row.items() if c < n - 1} for row in m], g.items(), n)",
+        "lifted-combination-without-the-ones-entry",
+        SIMPLEX,
+        "            out[n] += x\n",
+        "",
         WALK_TESTS,
     ),
     Mutant(
@@ -130,13 +131,6 @@ MUTANTS = (
         INTLINALG,
         "(v := (p * row.get(j, 0) - f * top.get(j, 0)) // prev)",
         "(v := row.get(j, 0) - f * top.get(j, 0) // prev)",
-        ELIMINATION_TESTS,
-    ),
-    Mutant(
-        "elimination-updates-the-given-rows-in-place",
-        INTLINALG,
-        "_eliminate(list(rows), width, jordan=False, owned=False)",
-        "_eliminate(list(rows), width, jordan=False, owned=True)",
         ELIMINATION_TESTS,
     ),
     Mutant(
