@@ -78,31 +78,32 @@ def _emit(payload: dict, as_json: bool) -> None:
     """Write the payload: ``key value`` lines, or with ``as_json`` the line
     that ``json.dumps(payload)`` gives.
 
-    A witness's ``vertices``, the one matrix an output holds, is written a
-    row at a time, each row as ``str(list(row))``, which is its
-    ``json.dumps``, so that no string of the whole matrix is ever built.
-    Under ``as_json`` the keys before it and the keys after it go through one
-    ``json.dumps`` each."""
+    Under ``as_json`` each key and each value is encoded on its own, as
+    ``json.dumps`` encodes it, so the longest string built is one value's,
+    not the whole output's.  A witness's ``vertices``, the one matrix an
+    output holds, is written a row at a time, each row as
+    ``str(list(row))``, which is its ``json.dumps``, in text and
+    ``as_json`` alike."""
     write = sys.stdout.write
     if as_json:
         import json
 
-        items = iter(payload.items())
-        before = {}
-        for key, value in items:
+        encode = json.JSONEncoder().encode
+        write("{")
+        sep = ""
+        for key, value in payload.items():
+            write(f"{sep}{encode(key)}: ")
             if key == "vertices":
-                break
-            before[key] = value
-        after = dict(items)
-        write(json.dumps(before)[:-1])
-        if "vertices" in payload:
-            write(', "vertices": [' if before else '"vertices": [')
-            row_sep = ""
-            for row in payload["vertices"]:
-                write(row_sep + str(list(row)))
-                row_sep = ", "
-            write("]")
-        write(", " + json.dumps(after)[1:] + "\n" if after else "}\n")
+                write("[")
+                row_sep = ""
+                for row in value:
+                    write(row_sep + str(list(row)))
+                    row_sep = ", "
+                write("]")
+            else:
+                write(encode(value))
+            sep = ", "
+        write("}\n")
         return
     for key, value in payload.items():
         if key == "vertices":

@@ -173,8 +173,8 @@ MUTANTS = (
     Mutant(
         "json-matrix-rows-without-separator",
         "src/ehrhart/cli.py",
-        '                row_sep = ", "\n',
-        '                row_sep = ""\n',
+        '                    row_sep = ", "\n',
+        '                    row_sep = ""\n',
         EMIT_TESTS,
     ),
     Mutant(
