@@ -43,7 +43,7 @@ from .errors import (
     OutOfScopeError,
 )
 from .realizer import realize
-from .simplex import dump_simplex, load_simplex
+from .simplex import _write_json, dump_simplex, load_simplex
 
 # The status line's word for each exit code.
 _STATUS = ("ok", "invalid-input", "not-realizable", "out-of-scope", "budget-exceeded", "internal-inconsistency")
@@ -75,35 +75,11 @@ def _no_digit_limit():
 
 
 def _emit(payload: dict, as_json: bool) -> None:
-    """Write the payload: ``key value`` lines, or with ``as_json`` the line
-    that ``json.dumps(payload)`` gives.
-
-    Under ``as_json`` each key and each value is encoded on its own, as
-    ``json.dumps`` encodes it, so the longest string built is one value's,
-    not the whole output's.  A witness's ``vertices``, the one matrix an
-    output holds, is written a row at a time, each row as
-    ``str(list(row))``, which is its ``json.dumps``, in text and
-    ``as_json`` alike."""
+    """Write the payload: ``key value`` lines, a witness's ``vertices`` a row
+    at a time, or with ``as_json`` the line that ``_write_json`` writes."""
     write = sys.stdout.write
     if as_json:
-        import json
-
-        encode = json.JSONEncoder().encode
-        write("{")
-        sep = ""
-        for key, value in payload.items():
-            write(f"{sep}{encode(key)}: ")
-            if key == "vertices":
-                write("[")
-                row_sep = ""
-                for row in value:
-                    write(row_sep + str(list(row)))
-                    row_sep = ", "
-                write("]")
-            else:
-                write(encode(value))
-            sep = ", "
-        write("}\n")
+        _write_json(payload, write)
         return
     for key, value in payload.items():
         if key == "vertices":

@@ -178,20 +178,43 @@ def unit_simplex(d: int) -> LatticeSimplex:
     return LatticeSimplex(verts)
 
 
+def _write_json(doc: dict, write) -> None:
+    """Write the line that ``json.dumps(doc)`` gives, and a newline: the one
+    JSON writer, for ``--json`` output and polytope files.  Each key and each
+    value is encoded on its own, so the longest string built is one value's,
+    not the whole document's; a witness's ``vertices`` is written a row at a
+    time, each row as ``str(list(row))``, which is its ``json.dumps``."""
+    import json
+
+    encode = json.JSONEncoder().encode
+    write("{")
+    sep = ""
+    for key, value in doc.items():
+        write(f"{sep}{encode(key)}: ")
+        if key == "vertices":
+            write("[")
+            row_sep = ""
+            for row in value:
+                write(row_sep + str(list(row)))
+                row_sep = ", "
+            write("]")
+        else:
+            write(encode(value))
+        sep = ", "
+    write("}\n")
+
+
 def dump_simplex(s: LatticeSimplex, path: str, plan: str | None = None) -> None:
-    """Write the polytope file: JSON with ambient_dim and integer vertices.
+    """Write the polytope file: ambient_dim and integer vertices, one JSON line.
 
     Python's json emits integers in plain decimal, so arbitrary-precision
     coordinates round-trip exactly.
     """
-    import json
-
-    doc = {"ambient_dim": s.ambient_dim, "vertices": [list(v) for v in s.vertices]}
+    doc = {"ambient_dim": s.ambient_dim, "vertices": s.vertices}
     if plan is not None:
         doc["plan"] = plan
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        _write_json(doc, fh.write)
 
 
 def load_simplex(path: str) -> LatticeSimplex:

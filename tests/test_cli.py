@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -465,7 +466,7 @@ def reference_text(payload):
 
 
 @pytest.mark.parametrize("d", range(3, 41))
-def test_realize_writes_every_witness_as_the_one_shot_encoders_did(d, capsys, monkeypatch):
+def test_realize_writes_every_witness_as_the_one_shot_encoders_did(d, tmp_path, capsys, monkeypatch):
     payloads = []
     emit = cli._emit
 
@@ -477,6 +478,7 @@ def test_realize_writes_every_witness_as_the_one_shot_encoders_did(d, capsys, mo
     # One parser for all the calls; building it is most of a small job.
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    path = str(tmp_path / "w.json")
     for cand, decision in enumerate_candidates(d):
         if decision.verdict is not Verdict.YES:
             continue
@@ -489,6 +491,57 @@ def test_realize_writes_every_witness_as_the_one_shot_encoders_did(d, capsys, mo
             assert out == (json.dumps(listed) + "\n" if flags else reference_text(listed))
             if flags:
                 assert out == json.dumps(payload) + "\n"
+        # The polytope file: the line json.dumps gives, where it was indented.
+        code, _ = run(capsys, "realize", *map(str, cand), "--out", path)
+        doc = {"ambient_dim": d, "vertices": listed["vertices"], "plan": listed["plan"]}
+        with open(path) as fh:
+            text = fh.read()
+        assert code == 0 and text == json.dumps(doc) + "\n"
+        assert json.loads(text) == json.loads(json.dumps(doc, indent=2) + "\n")
+        assert load_simplex(path).vertices == payload["vertices"]
+
+
+@pytest.mark.parametrize("extras", [(351,), (234, 468)], ids=["sum2", "sum3"])
+def test_realize_out_at_d702_peaks_near_its_vertex_tuples(extras, tmp_path, capsys):
+    # The witness's vertex tuples are the one dense object: a list copy of
+    # them, or an encoder that builds the file's text, would add as much again.
+    path = str(tmp_path / "w.json")
+    tracemalloc.start()
+    try:
+        code = main(["realize", "1", *(str(int(i in extras)) for i in range(1, 703)), "--out", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vertices = load_simplex(path).vertices
+    tuples = sys.getsizeof(vertices) + sum(map(sys.getsizeof, vertices))
+    assert code == 0 and len(vertices) == 703 and peak <= 1.3 * tuples
+
+
+# README's round trip: a witness written by ``realize --out`` and read back
+# by ``delta``.  The counting route refuses the d = 9 witness at the default
+# budget, so the two routes are compared on a d = 6 witness.
+@pytest.mark.parametrize(
+    "candidate,method",
+    [("1 0 0 1 0 1 0 0 0 0", "box"), ("1 0 0 1 0 0 0", "both")],
+    ids=["readme-d9", "d6-both-routes"],
+)
+def test_witness_file_round_trips_through_delta(candidate, method, tmp_path, capsys):
+    entries = candidate.split()
+    path = tmp_path / "w.json"
+    legacy = tmp_path / "indented.json"
+    assert run(capsys, "realize", *entries, "--out", str(path))[0] == 0
+    # A file in the indented layout that realize wrote before, one number a
+    # line, still reads as the same simplex.
+    legacy.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
+    assert legacy.read_text().count("\n") > len(entries) ** 2 // 2
+    for f in (path, legacy):
+        code, text = run(capsys, "delta", str(f), "--method", method)
+        assert code == 0 and f"delta {candidate}\n" in text
+        code, out = run(capsys, "--json", "delta", str(f), "--method", method)
+        doc = json.loads(out)
+        assert code == 0 and doc["delta"] == [int(e) for e in entries]
+        # Text and JSON carry the same data.
+        assert text == reference_text(doc)
 
 
 CLOSED_PIPE_PROBE = """

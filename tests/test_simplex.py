@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -215,7 +217,26 @@ def test_polytope_file_round_trip(tmp_path):
     dump_simplex(s, str(path), plan="section2(d=5)")
     loaded = load_simplex(str(path))
     assert loaded == s
-    assert json.loads(path.read_text())["plan"] == "section2(d=5)"
+    doc = {"ambient_dim": 5, "vertices": [list(v) for v in s.vertices], "plan": "section2(d=5)"}
+    text = path.read_text()
+    assert text == json.dumps(doc) + "\n"
+    # The same document as the indented layout that files had before.
+    assert json.loads(text) == json.loads(json.dumps(doc, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("extras", [(351,), (234, 468)], ids=["sum2", "sum3"])
+def test_dump_simplex_at_d702_allocates_a_tenth_of_the_vertex_tuples(extras, tmp_path):
+    # The rows are written as they are read: a list copy of the vertices, or
+    # an encoder that builds the document, would allocate as much again.
+    s, plan = realize([1] + [int(i in extras) for i in range(1, 703)])
+    tracemalloc.start()
+    try:
+        dump_simplex(s, str(tmp_path / "w.json"), plan=plan.describe())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tuples = sys.getsizeof(s.vertices) + sum(map(sys.getsizeof, s.vertices))
+    assert peak <= 0.1 * tuples
 
 
 def test_polytope_file_round_trips_big_integers(tmp_path):

@@ -56,7 +56,10 @@ ELIMINATION_TESTS = (
     "tests/test_simplex.py::test_construction_matches_the_reference_on_every_witness",
 )
 WALK_TESTS = ("tests/test_engine.py", "-k", "box_route or box_points or delta_from_box")
+# Every witness written to stdout, in text and --json, and to a file by --out.
 EMIT_TESTS = ("tests/test_cli.py", "-k", "every_witness")
+COUNTING_TESTS = ("tests/test_engine.py", "-k", "count_points or delta_from_counts or by_counting")
+CLASSIFIER_TESTS = ("tests/test_classifier.py", "-k", "stanley or hibi or running_sum")
 
 MUTANTS = (
     Mutant(
@@ -172,9 +175,9 @@ MUTANTS = (
     ),
     Mutant(
         "json-matrix-rows-without-separator",
-        "src/ehrhart/cli.py",
-        '                    row_sep = ", "\n',
-        '                    row_sep = ""\n',
+        SIMPLEX,
+        '                row_sep = ", "\n',
+        '                row_sep = ""\n',
         EMIT_TESTS,
     ),
     Mutant(
@@ -183,6 +186,41 @@ MUTANTS = (
         'write(f" {list(row)}")',
         "write(str(list(row)))",
         EMIT_TESTS,
+    ),
+    Mutant(
+        "line-count-floors-the-lower-end",
+        ENGINE,
+        "lo = max(lo, -((b - least) // c))",
+        "lo = max(lo, (least - b) // c)",
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "count-points-interior-counts-the-boundary",
+        ENGINE,
+        "least = 1 if strict else 0",
+        "least = 0",
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "counts-to-delta-without-the-sign",
+        ENGINE,
+        "sum((-1) ** j * math.comb(d + 1, j)",
+        "sum(math.comb(d + 1, j)",
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "hibi-stops-one-index-short",
+        "src/ehrhart/classifier.py",
+        "range(1, (d - 1) // 2 + 1)",
+        "range(1, (d - 1) // 2)",
+        CLASSIFIER_TESTS,
+    ),
+    Mutant(
+        "stanley-stops-one-index-short",
+        "src/ehrhart/classifier.py",
+        "range(s // 2 + 1)",
+        "range(s // 2)",
+        CLASSIFIER_TESTS,
     ),
 )
 
