@@ -26,6 +26,8 @@ import sys
 from .classifier import Verdict, enumerate_candidates, is_realizable
 from .engine import (
     DEFAULT_BUDGET,
+    bounding_box,
+    charge_volume,
     count_points,
     delta_from_box,
     delta_from_counts,
@@ -133,10 +135,21 @@ def cmd_delta(args) -> tuple[dict, int]:
     # refusal's message shows.
     with _no_digit_limit():
         d = simplex.dim
+        box = args.method in ("box", "both")
+        counting = args.method in ("counts", "both")
+        # Every route is charged before any of them runs, in the order they
+        # run: the box route's group order, then the bounding box of each
+        # dilate.  The box of nP grows with n, so the first dilate refused
+        # here is the first one the scan would reach.
+        if box:
+            charge_volume(simplex, args.budget)
+        if counting:
+            for n in range(1, d + 1):
+                bounding_box(simplex, n, args.budget)
         deltas = {}
-        if args.method in ("box", "both"):
+        if box:
             deltas["box"] = delta_from_box(simplex, budget=args.budget)
-        if args.method in ("counts", "both"):
+        if counting:
             counts = [count_points(simplex, n, budget=args.budget) for n in range(1, d + 1)]
             deltas["counts"] = delta_from_counts(counts, d)
         if len(deltas) == 2 and deltas["box"].entries != deltas["counts"].entries:
@@ -205,6 +218,19 @@ def cmd_enumerate(args) -> tuple[dict, int]:
     return payload, 0
 
 
+def _budget(text: str) -> int:
+    """The type of ``--budget``: an int, and not a negative one.  A text that
+    is no int gets the message argparse gives for ``type=int``, which would
+    otherwise name this function."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ehrhart",
@@ -218,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("box", "counts", "both"), default="box")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=DEFAULT_BUDGET,
         help="work budget: most box points (normalized volume) for the box method, "
         "most bounding-box candidates per dilate for the counting method",

@@ -15,12 +15,19 @@ Two independent routes are provided on purpose:
   normal form: one fraction-free elimination gives integer forms for the
   barycentric weights, and the bounding box is scanned one line along the
   last coordinate at a time, each line adding the length of one integer
-  interval.  With ``delta_from_counts`` it forms the independent oracle used
-  for cross-checking.
+  interval.  With ``delta_from_counts`` it forms the independent oracle
+  used for cross-checking.  The forms are sorted once per call by their
+  slope along the line, so a line takes two minima over fixed groups of
+  forms, and the forms flat along the line bound which lines count once per
+  run of lines.
+
+``charge_volume`` and ``bounding_box`` charge the two routes against the
+budget; the CLI charges every route it will run before any of them starts.
 """
 from __future__ import annotations
 
 import math
+from operator import add, floordiv, mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InconsistentCountsError, InternalInconsistencyError
@@ -94,6 +101,15 @@ class BoxPoint(NamedTuple):
     coefficients: tuple[Fraction, ...]
 
 
+def charge_volume(s: LatticeSimplex, budget: int) -> int:
+    """The normalized volume, the box route's group order and number of box
+    points, read from the construction; refused above ``budget``."""
+    volume = s.normalized_volume
+    if volume > budget:
+        raise BudgetExceededError(volume, budget)
+    return volume
+
+
 def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[int, int]]]:
     """(D_max, w, walk): the walk yields, lazily, every box point as its
     numerator vector c packed into one int, with the sum of its fields.
@@ -112,9 +128,7 @@ def _box_walk(s: LatticeSimplex, budget: int) -> tuple[int, int, Iterator[tuple[
     w = D_max.bit_length() + 1, one bit more than a field in [0, D_max)
     needs (see ``_walk``).
     """
-    volume = s.normalized_volume
-    if volume > budget:
-        raise BudgetExceededError(volume, budget)
+    volume = charge_volume(s, budget)
     snf = smith_normal_form(s.lifted_matrix())
     n = s.dim + 1
     if math.prod(snf.diag) != volume:
@@ -225,41 +239,73 @@ def delta_from_box(s: LatticeSimplex, budget: int = DEFAULT_BUDGET) -> DeltaVect
     return DeltaVector(tuple(entries))
 
 
+def bounding_box(s: LatticeSimplex, n: int, budget: int) -> tuple[list[int], list[int]]:
+    """(lo, hi): the least and greatest value of each coordinate over nP,
+    for n >= 0.  Refuses (rather than truncates) when the box holds more
+    than ``budget`` integer points.  The box grows with n, so a budget that
+    admits the box of n = d admits that of every smaller dilate."""
+    columns = list(zip(*s.vertices))
+    lo = [n * min(c) for c in columns]
+    hi = [n * max(c) for c in columns]
+    total = 1
+    for a, b in zip(lo, hi):
+        total *= b - a + 1
+    if total > budget:
+        raise BudgetExceededError(total, budget)
+    return lo, hi
+
+
 def _line_count(
-    bases: list[int], slopes: tuple[int, ...], lo: int, hi: int, n_weights: int, least: int
+    bases: list[int], step: list[int], lines: int, rising: list[int], falling: list[int], r: int, f: int
 ) -> int:
-    """Integers x in [lo, hi] with base + slope * x >= least for the first
-    ``n_weights`` forms and == 0 for the rest."""
-    for i, (b, c) in enumerate(zip(bases, slopes)):
-        if i < n_weights:
-            if c > 0:
-                lo = max(lo, -((b - least) // c))
-            elif c < 0:
-                hi = min(hi, (b - least) // -c)
-            elif b < least:
-                return 0
-        elif c:
-            x, rest = divmod(-b, c)
-            if rest:
-                return 0
-            lo, hi = max(lo, x), min(hi, x)
-        elif b:
+    """Points on ``lines`` parallel lines along the last coordinate x, the
+    forms taking the values ``bases`` at x = 0 on the first line and moving
+    by ``step`` from one line to the next.  A point counts where every form
+    is >= 0.
+
+    ``bases`` holds the rising forms, then the falling ones from r on, then
+    the flat ones from f on; ``rising`` and ``falling`` hold the magnitudes
+    of their slopes in x.  On a line, a rising form needs x >= -(b // c) and
+    a falling one x <= b // c.  A flat form is constant on each line, so it
+    bounds which of the lines count, once for the whole run.
+    """
+    first, end = 0, lines
+    for b, c in zip(bases[f:], step[f:]):
+        if c > 0:
+            first = max(first, -(b // c))
+        elif c < 0:
+            end = min(end, b // -c + 1)
+        elif b < 0:
             return 0
-        if lo > hi:
-            return 0
-    return hi - lo + 1
+    # From here on the flat forms are done with: the maps stop at the shorter
+    # of their lists, so stepping the rising and falling forms drops the rest.
+    step = step[:f]
+    if first:
+        bases = [b + c * first for b, c in zip(bases, step)]
+    total = 0
+    for _ in range(end - first):
+        # x runs from -min(rising quotients) to min(falling quotients).
+        length = min(map(floordiv, bases[r:], falling)) + min(map(floordiv, bases, rising)) + 1
+        if length > 0:
+            total += length
+        bases = list(map(add, bases, step))
+    return total
 
 
-def _scan(
-    j: int, bases: list[int], slopes: list[tuple[int, ...]], lo: list[int], hi: list[int], n_weights: int, least: int
-) -> int:
-    """Points of the box lo..hi from coordinate j on, every form at base."""
-    if j == len(slopes) - 1:
-        return _line_count(bases, slopes[j], lo[j], hi[j], n_weights, least)
-    return sum(
-        _scan(j + 1, [b + c * x for b, c in zip(bases, slopes[j])], slopes, lo, hi, n_weights, least)
-        for x in range(lo[j], hi[j] + 1)
-    )
+def _scan(j: int, bases: list[int], steps: list[list[int]], sizes: list[int], line: tuple) -> int:
+    """Points of the box from coordinate j on, where the forms take the
+    values ``bases`` with coordinates j on at the box's low corner and the
+    last one at 0.  Coordinate j takes ``sizes[j]`` values, and a step along
+    it adds ``steps[j]`` to the forms; the last coordinate is the line of
+    ``_line_count(..., *line)``."""
+    step = steps[j]
+    if j + 1 == len(steps):
+        return _line_count(bases, step, sizes[j], *line)
+    total = 0
+    for _ in range(sizes[j]):
+        total += _scan(j + 1, bases, steps, sizes, line)
+        bases = list(map(add, bases, step))
+    return total
 
 
 def count_points(
@@ -268,31 +314,42 @@ def count_points(
     """|nP ∩ Z^N| by bounding-box scan; strict counts the interior dilate.
 
     A point p is in nP when every weight form of ``s.weight_forms()`` is
-    >= 0 at (p, n) (>= 1 for the interior) and every equality form is 0.  The
-    scan fixes all coordinates but the last; on that line each form is
-    base + slope * x, so the line contributes one integer interval.
+    >= 0 at (p, n) (>= 1 for the interior) and every equality form is 0; an
+    equality g = 0 is taken as the two forms g >= 0 and -g >= 0.  The scan
+    fixes all coordinates but the last; on that line each form is
+    base + slope * x, so the line contributes one integer interval.  The
+    forms are sorted once per call by the sign of their slope along the line
+    (rising, falling, flat), so that a line takes each bound over one group,
+    with no branch per form, and the scan moves from line to line by adding
+    the slopes.  The forms cut out nP exactly, so the interval needs no clamp
+    to the box; and nP is bounded, so some form rises and some falls.
     Refuses (rather than truncates) when the bounding box holds more than
     ``budget`` candidates.
     """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    lo = [min(n * v[j] for v in s.vertices) for j in range(s.ambient_dim)]
-    hi = [max(n * v[j] for v in s.vertices) for j in range(s.ambient_dim)]
-    total = 1
-    for a, b in zip(lo, hi):
-        total *= b - a + 1
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    lo, hi = bounding_box(s, n, budget)
     wf = s.weight_forms()
-    forms = wf.forms + wf.equalities
-    n_weights = len(wf.forms)
     least = 1 if strict else 0
-    bases = [f[-1] * n for f in forms]
-    if s.ambient_dim == 0:
-        # The one point of Z^0 is a line of length 1 on which every form is constant.
-        return _line_count(bases, (0,) * len(forms), 0, 0, n_weights, least)
-    slopes = [tuple(f[j] for f in forms) for j in range(s.ambient_dim)]
-    return _scan(0, bases, slopes, lo, hi, n_weights, least)
+    bounds = [(g, least) for g in wf.forms]
+    bounds += [(g, 0) for e in wf.equalities for g in (e, tuple(-x for x in e))]
+    if not lo:
+        # The one point of Z^0: every form is constant.
+        return int(all(g[-1] * n >= shift for g, shift in bounds))
+    last = len(lo) - 1
+    rising = [b for b in bounds if b[0][last] > 0]
+    falling = [b for b in bounds if b[0][last] < 0]
+    if not rising or not falling:
+        raise InternalInconsistencyError(f"the weight forms of {n}P do not bound coordinate {last}")
+    forms = rising + falling + [b for b in bounds if not b[0][last]]
+    # Each form at the box's low corner in every coordinate but the line's.
+    corner = lo[:last]
+    bases = [g[-1] * n - shift + sum(map(mul, g, corner)) for g, shift in forms]
+    line = ([g[last] for g, _ in rising], [-g[last] for g, _ in falling], len(rising), len(rising) + len(falling))
+    if not last:
+        return _line_count(bases, [0] * len(forms), 1, *line)
+    steps = [[g[j] for g, _ in forms] for j in range(last)]
+    return _scan(0, bases, steps, [b - a + 1 for a, b in zip(lo, hi)], line)
 
 
 def delta_from_counts(counts: Sequence[int], d: int) -> DeltaVector:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrhart import classifier, cli, realizer
+from ehrhart import classifier, cli, engine, realizer
 from ehrhart.classifier import Verdict, enumerate_candidates
 from ehrhart.cli import main
 from ehrhart.engine import DeltaVector
@@ -114,6 +114,95 @@ def test_budget_refusals_name_what_they_count(section2_file, capsys, argv, error
     # the witness and enumerate the candidates times d + 1.
     code, out = run(capsys, *(a.format(s2=section2_file) for a in argv))
     assert (code, out) == (4, f"status budget-exceeded\nerror {error}\nexit_code 4\n")
+
+
+@pytest.fixture(scope="module")
+def refused_witnesses(tmp_path_factory):
+    """Files of the d = 7 and README's d = 9 witness, whose counting route
+    the default budget refuses at n = 7 and at n = 4."""
+    files = {}
+    for candidate in ("1 0 0 1 0 1 0 0", "1 0 0 1 0 1 0 0 0 0"):
+        path = tmp_path_factory.mktemp("witness") / "w.json"
+        dump_simplex(realizer.realize(tuple(map(int, candidate.split())))[0], str(path))
+        files[len(candidate.split()) - 1] = str(path)
+    return files
+
+
+def forbid_any_work(monkeypatch):
+    """Make the Smith normal form and the counting scan fail if called."""
+
+    def forbidden(*args):
+        raise AssertionError("a route ran before every budget was charged")
+
+    for name in ("smith_normal_form", "_scan", "_line_count"):
+        monkeypatch.setattr(engine, name, forbidden)
+
+
+@pytest.mark.parametrize("method", ["both", "counts"])
+@pytest.mark.parametrize(
+    "d, needed", [(7, 250593750), (9, 172718325)], ids=["d7-refused-at-n7", "d9-refused-at-n4"]
+)
+def test_refusals_come_before_any_work(refused_witnesses, monkeypatch, capsys, method, d, needed):
+    # The bounding box of nP grows with n, so every dilate is charged before
+    # any route runs and the refusal names the first dilate over the budget.
+    forbid_any_work(monkeypatch)
+    code, out = run(capsys, "delta", refused_witnesses[d], "--method", method)
+    assert (code, out) == (4, f"status budget-exceeded\nerror enumeration needs {needed} points, budget is 100000000\nexit_code 4\n")
+
+
+def test_refusal_at_the_last_dilate_comes_before_any_work(section2_file, monkeypatch, capsys):
+    # The boxes of the section-2 witness at n = 1, 2, 3 hold 8, 27 and 64
+    # points: a budget of 63 admits every dilate but the last.
+    forbid_any_work(monkeypatch)
+    code, out = run(capsys, "delta", section2_file, "--method", "both", "--budget", "63")
+    assert (code, out) == (4, "status budget-exceeded\nerror enumeration needs 64 points, budget is 63\nexit_code 4\n")
+
+
+def test_volume_is_charged_before_the_bounding_boxes(section2_file, monkeypatch, capsys):
+    # Normalized volume 2 and a box of 8 points at n = 1, both over budget 1:
+    # the box route's charge comes first, as its route does.
+    forbid_any_work(monkeypatch)
+    code, out = run(capsys, "delta", section2_file, "--method", "both", "--budget", "1")
+    assert (code, out) == (4, "status budget-exceeded\nerror enumeration needs 2 points, budget is 1\nexit_code 4\n")
+
+
+def test_lower_dimensional_file_fails_before_any_budget_check(tmp_path, monkeypatch, capsys):
+    # The box route needs the normalized volume, which a segment in Z^2 does
+    # not have: that is invalid input, whatever the budget.
+    path = tmp_path / "segment.json"
+    dump_simplex(LatticeSimplex([[0, 0], [1, 1]]), str(path))
+    forbid_any_work(monkeypatch)
+    monkeypatch.setattr(cli, "bounding_box", lambda *args: pytest.fail("a bounding box was charged"))
+    code, out = run(capsys, "delta", str(path), "--method", "both", "--budget", "0")
+    assert (code, out) == (
+        1,
+        "status invalid-input\nerror lifted matrix needs a full-dimensional simplex (N=2, d=1)\nexit_code 1\n",
+    )
+
+
+def test_counting_route_needs_no_volume(tmp_path, monkeypatch, capsys):
+    # --method counts charges bounding boxes only, so a segment in Z^2 still counts.
+    path = tmp_path / "segment.json"
+    dump_simplex(LatticeSimplex([[0, 0], [1, 1]]), str(path))
+    monkeypatch.setattr(engine, "smith_normal_form", lambda *args: pytest.fail("the Smith normal form ran"))
+    code, out = run(capsys, "delta", str(path), "--method", "counts", "--budget", "4")
+    assert code == 0 and "\ndelta 1 0\n" in out and "\ncounts 1 2 0\n" in out
+
+
+@pytest.mark.parametrize("budget", ["-1", "-100000000"])
+def test_negative_budget_is_invalid_input(section2_file, capsys, budget):
+    code, out = run(capsys, "delta", section2_file, f"--budget={budget}")
+    assert (code, out) == (
+        1,
+        f"status invalid-input\nerror ehrhart delta: argument --budget: budget must be nonnegative, got {budget}\nexit_code 1\n",
+    )
+
+
+def test_budget_zero_is_a_refusal_and_a_non_integer_budget_a_usage_error(section2_file, capsys):
+    code, out = run(capsys, "delta", section2_file, "--method", "counts", "--budget", "0")
+    assert (code, out) == (4, "status budget-exceeded\nerror enumeration needs 8 points, budget is 0\nexit_code 4\n")
+    code, out = run(capsys, "delta", section2_file, "--budget", "1.5")
+    assert (code, out) == (1, "status invalid-input\nerror ehrhart delta: argument --budget: invalid int value: '1.5'\nexit_code 1\n")
 
 
 def test_delta_rejects_json_boolean(tmp_path, capsys):
@@ -519,7 +608,8 @@ def test_realize_out_at_d702_peaks_near_its_vertex_tuples(extras, tmp_path, caps
 
 # README's round trip: a witness written by ``realize --out`` and read back
 # by ``delta``.  The counting route refuses the d = 9 witness at the default
-# budget, so the two routes are compared on a d = 6 witness.
+# budget, before any route runs (``test_refusals_come_before_any_work``), so
+# the two routes are compared on a d = 6 witness.
 @pytest.mark.parametrize(
     "candidate,method",
     [("1 0 0 1 0 1 0 0 0 0", "box"), ("1 0 0 1 0 0 0", "both")],

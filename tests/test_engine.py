@@ -10,10 +10,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from box_reference import reference_box_points, reference_delta
+from count_reference import reference_count
 from ehrhart import engine
 from ehrhart.classifier import Verdict, enumerate_candidates
 from ehrhart.cli import main
@@ -478,6 +479,33 @@ def test_count_points_matches_brute_force(name):
         assert count_points(s, n, strict=True) == interior
         if s.dim == 0:
             assert closed == 1 and interior == (n > 0)
+
+
+# Simplices with d <= N <= 4 and coordinates in [-3, 3].  Those with d < N
+# have equality forms, and small coordinates often give a form a zero slope
+# along the last coordinate.
+count_simplices = st.integers(0, 4).flatmap(
+    lambda ambient: st.integers(0, ambient).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-3, 3), min_size=ambient, max_size=ambient), min_size=d + 1, max_size=d + 1
+        )
+    )
+)
+
+
+@given(count_simplices, st.integers(0, 3))
+@example([[]], 0)  # the point of Z^0
+@example([[]], 2)
+@example([[3, -2]], 1)  # a point in Z^2: every weight form flat
+@example([[1, -1, 0], [-1, 2, 1]], 3)  # a segment in Z^3: equalities with and without a slope
+@example([[0, 0], [1, 0], [0, 1]], 3)  # the form x_1 is flat along x_2
+@example([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 2]], 2)
+@settings(max_examples=300, deadline=None)
+def test_count_points_matches_the_reference_scan(verts, n):
+    s = random_simplex(verts)
+    assume(s is not None)
+    for strict in (False, True):
+        assert count_points(s, n, strict) == reference_count(s, n, strict)
 
 
 def test_delta_from_counts_unit_simplex():

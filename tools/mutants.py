@@ -59,6 +59,8 @@ WALK_TESTS = ("tests/test_engine.py", "-k", "box_route or box_points or delta_fr
 # Every witness written to stdout, in text and --json, and to a file by --out.
 EMIT_TESTS = ("tests/test_cli.py", "-k", "every_witness")
 COUNTING_TESTS = ("tests/test_engine.py", "-k", "count_points or delta_from_counts or by_counting")
+SCAN_TESTS = ("tests/test_engine.py::test_count_points_matches_the_reference_scan",)
+CHARGE_TESTS = ("tests/test_cli.py", "-k", "before_any_work")
 CLASSIFIER_TESTS = ("tests/test_classifier.py", "-k", "stanley or hibi or running_sum")
 
 MUTANTS = (
@@ -190,9 +192,30 @@ MUTANTS = (
     Mutant(
         "line-count-floors-the-lower-end",
         ENGINE,
-        "lo = max(lo, -((b - least) // c))",
-        "lo = max(lo, (least - b) // c)",
+        "min(map(floordiv, bases, rising))",
+        "min(-(-b // c) for b, c in zip(bases, rising))",
         COUNTING_TESTS,
+    ),
+    Mutant(
+        "line-count-rounds-the-upper-end-up",
+        ENGINE,
+        "min(map(floordiv, bases[r:], falling))",
+        "min(-(-b // c) for b, c in zip(bases[r:], falling))",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "line-count-without-the-flat-forms",
+        ENGINE,
+        "    for b, c in zip(bases[f:], step[f:]):\n",
+        "    for b, c in ():\n",
+        SCAN_TESTS,
+    ),
+    Mutant(
+        "delta-charge-skips-the-last-dilate",
+        "src/ehrhart/cli.py",
+        "for n in range(1, d + 1):\n                bounding_box(",
+        "for n in range(1, d):\n                bounding_box(",
+        CHARGE_TESTS,
     ),
     Mutant(
         "count-points-interior-counts-the-boundary",
