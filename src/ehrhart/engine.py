@@ -255,20 +255,20 @@ def bounding_box(s: LatticeSimplex, n: int, budget: int) -> tuple[list[int], lis
     return lo, hi
 
 
-def _line_count(
-    bases: list[int], step: list[int], lines: int, rising: list[int], falling: list[int], r: int, f: int
-) -> int:
+def _line_count(bases: list[int], step: list[int], lines: int, rising: list[int], falling: list[int]) -> int:
     """Points on ``lines`` parallel lines along the last coordinate x, the
     forms taking the values ``bases`` at x = 0 on the first line and moving
     by ``step`` from one line to the next.  A point counts where every form
     is >= 0.
 
-    ``bases`` holds the rising forms, then the falling ones from r on, then
-    the flat ones from f on; ``rising`` and ``falling`` hold the magnitudes
-    of their slopes in x.  On a line, a rising form needs x >= -(b // c) and
-    a falling one x <= b // c.  A flat form is constant on each line, so it
-    bounds which of the lines count, once for the whole run.
+    ``bases`` holds the rising forms, then the falling ones, then the flat
+    ones; ``rising`` and ``falling`` hold the magnitudes of their slopes in
+    x.  On a line, a rising form needs x >= -(b // c) and a falling one
+    x <= b // c.  A flat form is constant on each line, so it bounds which
+    of the lines count, once for the whole run.
     """
+    r = len(rising)
+    f = r + len(falling)
     first, end = 0, lines
     for b, c in zip(bases[f:], step[f:]):
         if c > 0:
@@ -292,18 +292,20 @@ def _line_count(
     return total
 
 
-def _scan(j: int, bases: list[int], steps: list[list[int]], sizes: list[int], line: tuple) -> int:
+def _scan(
+    j: int, bases: list[int], steps: list[list[int]], sizes: list[int], rising: list[int], falling: list[int]
+) -> int:
     """Points of the box from coordinate j on, where the forms take the
     values ``bases`` with coordinates j on at the box's low corner and the
     last one at 0.  Coordinate j takes ``sizes[j]`` values, and a step along
     it adds ``steps[j]`` to the forms; the last coordinate is the line of
-    ``_line_count(..., *line)``."""
+    ``_line_count``, with ``rising`` and ``falling`` as there."""
     step = steps[j]
     if j + 1 == len(steps):
-        return _line_count(bases, step, sizes[j], *line)
+        return _line_count(bases, step, sizes[j], rising, falling)
     total = 0
     for _ in range(sizes[j]):
-        total += _scan(j + 1, bases, steps, sizes, line)
+        total += _scan(j + 1, bases, steps, sizes, rising, falling)
         bases = list(map(add, bases, step))
     return total
 
@@ -345,11 +347,12 @@ def count_points(
     # Each form at the box's low corner in every coordinate but the line's.
     corner = lo[:last]
     bases = [g[-1] * n - shift + sum(map(mul, g, corner)) for g, shift in forms]
-    line = ([g[last] for g, _ in rising], [-g[last] for g, _ in falling], len(rising), len(rising) + len(falling))
+    rises = [g[last] for g, _ in rising]
+    falls = [-g[last] for g, _ in falling]
     if not last:
-        return _line_count(bases, [0] * len(forms), 1, *line)
+        return _line_count(bases, [0] * len(forms), 1, rises, falls)
     steps = [[g[j] for g, _ in forms] for j in range(last)]
-    return _scan(0, bases, steps, [b - a + 1 for a, b in zip(lo, hi)], line)
+    return _scan(0, bases, steps, [b - a + 1 for a, b in zip(lo, hi)], rises, falls)
 
 
 def delta_from_counts(counts: Sequence[int], d: int) -> DeltaVector:
