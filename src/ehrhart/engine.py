@@ -288,7 +288,7 @@ def _line_count(bases: list[int], step: list[int], lines: int, rising: list[int]
         length = min(map(floordiv, bases[r:], falling)) + min(map(floordiv, bases, rising)) + 1
         if length > 0:
             total += length
-        bases = list(map(add, bases, step))
+        bases = [*map(add, bases, step)]
     return total
 
 
@@ -306,7 +306,7 @@ def _scan(
     total = 0
     for _ in range(sizes[j]):
         total += _scan(j + 1, bases, steps, sizes, rising, falling)
-        bases = list(map(add, bases, step))
+        bases = [*map(add, bases, step)]
     return total
 
 
