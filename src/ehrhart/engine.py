@@ -244,11 +244,13 @@ def bounding_box(s: LatticeSimplex, n: int, budget: int) -> tuple[list[int], lis
     for n >= 0.  Refuses (rather than truncates) when the box holds more
     than ``budget`` integer points.  The box grows with n, so a budget that
     admits the box of n = d admits that of every smaller dilate."""
-    columns = list(zip(*s.vertices))
-    lo = [n * min(c) for c in columns]
-    hi = [n * max(c) for c in columns]
+    lo, hi = [], []
     total = 1
-    for a, b in zip(lo, hi):
+    # One coordinate's values at a time, so no transpose of the vertices is held.
+    for column in zip(*s.vertices):
+        a, b = n * min(column), n * max(column)
+        lo.append(a)
+        hi.append(b)
         total *= b - a + 1
     if total > budget:
         raise BudgetExceededError(total, budget)

@@ -441,6 +441,20 @@ def test_count_points_budget_edge():
     assert count_points(s, 2, budget=15) == brute_force_counts(s, 2)[0] == 9
 
 
+def test_bounding_box_of_the_d702_witness_holds_one_column_at_a_time():
+    # The charge of a dilate reads the vertices a coordinate at a time: a
+    # transpose of the 703 x 702 vertex tuples would take about 4 MiB.
+    s = realize([1] + [int(i in (234, 468)) for i in range(1, 703)])[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            engine.bounding_box(s, 1, engine.DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.needed > 3**234 and peak <= 2**17
+
+
 def random_count_cases():
     """Two seeded random simplices for each d <= N <= 3, coordinates in [-2, 2]."""
     rng = random.Random("count-oracle")
