@@ -24,17 +24,7 @@ import os
 import sys
 
 from .classifier import Verdict, enumerate_candidates, is_realizable
-from .engine import (
-    DEFAULT_BUDGET,
-    bounding_box,
-    charge_volume,
-    count_points,
-    delta_from_box,
-    delta_from_counts,
-    ehrhart_coefficients,
-    evaluate_ehrhart,
-    evaluate_interior,
-)
+from .engine import DEFAULT_BUDGET, delta_vector, ehrhart_coefficients, evaluate_ehrhart, evaluate_interior
 from .errors import (
     DegenerateSimplexError,
     DimensionError,
@@ -135,28 +125,7 @@ def cmd_delta(args) -> tuple[dict, int]:
     # refusal's message shows.
     with _no_digit_limit():
         d = simplex.dim
-        box = args.method in ("box", "both")
-        counting = args.method in ("counts", "both")
-        # Every route is charged before any of them runs, in the order they
-        # run: the box route's group order, then the bounding box of each
-        # dilate.  The box of nP grows with n, so the first dilate refused
-        # here is the first one the scan would reach.
-        if box:
-            charge_volume(simplex, args.budget)
-        if counting:
-            for n in range(1, d + 1):
-                bounding_box(simplex, n, args.budget)
-        deltas = {}
-        if box:
-            deltas["box"] = delta_from_box(simplex, budget=args.budget)
-        if counting:
-            counts = [count_points(simplex, n, budget=args.budget) for n in range(1, d + 1)]
-            deltas["counts"] = delta_from_counts(counts, d)
-        if len(deltas) == 2 and deltas["box"].entries != deltas["counts"].entries:
-            raise InternalInconsistencyError(
-                f"box method gave {deltas['box'].entries}, counts gave {deltas['counts'].entries}"
-            )
-        delta = next(iter(deltas.values()))
+        delta = delta_vector(simplex, args.method, args.budget)
         coeffs = ehrhart_coefficients(delta)
         payload = {
             "dimension": d,

@@ -21,8 +21,9 @@ Two independent routes are provided on purpose:
   forms, and the forms flat along the line bound which lines count once per
   run of lines.
 
-``charge_volume`` and ``bounding_box`` charge the two routes against the
-budget; the CLI charges every route it will run before any of them starts.
+``delta_vector`` is the one entry point that picks the routes: it charges
+each route it will run against the budget (``charge_volume``,
+``bounding_box``) before any of them starts, and checks that they agree.
 """
 from __future__ import annotations
 
@@ -351,10 +352,10 @@ def count_points(
     bases = [g[-1] * n - shift + sum(map(mul, g, corner)) for g, shift in forms]
     rises = [g[last] for g, _ in rising]
     falls = [-g[last] for g, _ in falling]
-    if not last:
-        return _line_count(bases, [0] * len(forms), 1, rises, falls)
     steps = [[g[j] for g, _ in forms] for j in range(last)]
-    return _scan(0, bases, steps, [b - a + 1 for a, b in zip(lo, hi)], rises, falls)
+    # With N = 1 the one line is a run of one line, with a step of zeros.
+    sizes = [b - a + 1 for a, b in zip(lo, hi[:last])] or [1]
+    return _scan(0, bases, steps or [[0] * len(forms)], sizes, rises, falls)
 
 
 def delta_from_counts(counts: Sequence[int], d: int) -> DeltaVector:
@@ -374,6 +375,35 @@ def delta_from_counts(counts: Sequence[int], d: int) -> DeltaVector:
             raise InconsistentCountsError(f"delta_{i} = {e} < 0 for counts {list(counts)}")
         entries.append(e)
     return DeltaVector(tuple(entries))
+
+
+def delta_vector(s: LatticeSimplex, method: str = "box", budget: int = DEFAULT_BUDGET) -> DeltaVector:
+    """delta of ``s`` by the box route, the counting route or ``both``; two
+    routes must agree, and the box route's delta is returned.
+
+    Every route is charged before any of them runs, in the order they run:
+    the box route's group order, then the bounding box of each dilate.  The
+    box of nP grows with n, so the first dilate refused here is the first
+    one the scan would reach.
+    """
+    if method not in ("box", "counts", "both"):
+        raise ValueError(f"unknown method {method!r}, expected box, counts or both")
+    d = s.dim
+    box = method != "counts"
+    counting = method != "box"
+    if box:
+        charge_volume(s, budget)
+    if counting:
+        for n in range(1, d + 1):
+            bounding_box(s, n, budget)
+    deltas = []
+    if box:
+        deltas.append(delta_from_box(s, budget))
+    if counting:
+        deltas.append(delta_from_counts([count_points(s, n, budget=budget) for n in range(1, d + 1)], d))
+    if deltas[0] != deltas[-1]:
+        raise InternalInconsistencyError(f"box method gave {deltas[0].entries}, counts gave {deltas[-1].entries}")
+    return deltas[0]
 
 
 def binomial_poly(a: int, d: int) -> int:

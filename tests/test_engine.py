@@ -510,6 +510,7 @@ count_simplices = st.integers(0, 4).flatmap(
 @given(count_simplices, st.integers(0, 3))
 @example([[]], 0)  # the point of Z^0
 @example([[]], 2)
+@example([[0], [3]], 2)  # a segment in Z^1: one line, with no coordinate to step
 @example([[3, -2]], 1)  # a point in Z^2: every weight form flat
 @example([[1, -1, 0], [-1, 2, 1]], 3)  # a segment in Z^3: equalities with and without a slope
 @example([[0, 0], [1, 0], [0, 1]], 3)  # the form x_1 is flat along x_2
@@ -544,6 +545,54 @@ def test_delta_from_counts_reeve_type():
 def test_delta_from_counts_rejects_non_ehrhart_sequence():
     with pytest.raises(InconsistentCountsError):
         delta_from_counts([4, 9, 20], 3)
+
+
+def forbid_any_work(monkeypatch):
+    """Make the Smith normal form and the counting scan fail if called."""
+
+    def forbidden(*args):
+        raise AssertionError("a route ran before every budget was charged")
+
+    for name in ("smith_normal_form", "_scan", "_line_count"):
+        monkeypatch.setattr(engine, name, forbidden)
+
+
+@pytest.mark.parametrize("method", ["box", "counts", "both"])
+def test_delta_vector_by_every_method(method):
+    assert engine.delta_vector(section2_d3(), method).entries == (1, 0, 1, 0)
+
+
+def test_delta_vector_refuses_an_unknown_method(monkeypatch):
+    forbid_any_work(monkeypatch)
+    with pytest.raises(ValueError, match="unknown method 'hnf'"):
+        engine.delta_vector(section2_d3(), "hnf", budget=0)
+
+
+def test_delta_vector_charges_the_volume_first_before_any_work(monkeypatch):
+    # Normalized volume 2 and a box of 8 points at n = 1, both over budget 1:
+    # the box route's charge comes first, as its route does.
+    forbid_any_work(monkeypatch)
+    with pytest.raises(BudgetExceededError) as info:
+        engine.delta_vector(section2_d3(), "both", budget=1)
+    assert (info.value.needed, info.value.budget) == (2, 1)
+
+
+@pytest.mark.parametrize("method", ["both", "counts"])
+@pytest.mark.parametrize("budget, needed", [(7, 8), (26, 27), (63, 64)])
+def test_delta_vector_names_the_first_dilate_over_budget_before_any_work(monkeypatch, method, budget, needed):
+    # The boxes of the section-2 witness at n = 1, 2, 3 hold 8, 27 and 64
+    # points, and its normalized volume is 2.
+    forbid_any_work(monkeypatch)
+    with pytest.raises(BudgetExceededError) as info:
+        engine.delta_vector(section2_d3(), method, budget)
+    assert (info.value.needed, info.value.budget) == (needed, budget)
+
+
+def test_delta_vector_refuses_routes_that_disagree(monkeypatch):
+    monkeypatch.setattr(engine, "delta_from_counts", lambda counts, d: DeltaVector((1,) + (0,) * d))
+    with pytest.raises(InternalInconsistencyError) as info:
+        engine.delta_vector(section2_d3(), "both")
+    assert str(info.value) == "box method gave (1, 0, 1, 0), counts gave (1, 0, 0, 0)"
 
 
 def test_evaluate_ehrhart_unit_simplex():

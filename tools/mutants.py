@@ -60,7 +60,8 @@ WALK_TESTS = ("tests/test_engine.py", "-k", "box_route or box_points or delta_fr
 EMIT_TESTS = ("tests/test_cli.py", "-k", "every_witness")
 COUNTING_TESTS = ("tests/test_engine.py", "-k", "count_points or delta_from_counts or by_counting")
 SCAN_TESTS = ("tests/test_engine.py::test_count_points_matches_the_reference_scan",)
-CHARGE_TESTS = ("tests/test_cli.py", "-k", "before_any_work")
+CHARGE_TESTS = ("tests/test_cli.py", "tests/test_engine.py", "-k", "before_any_work")
+AGREEMENT_TESTS = ("tests/test_cli.py", "tests/test_engine.py", "-k", "disagree")
 CLASSIFIER_TESTS = ("tests/test_classifier.py", "-k", "stanley or hibi or running_sum")
 
 MUTANTS = (
@@ -212,10 +213,24 @@ MUTANTS = (
     ),
     Mutant(
         "delta-charge-skips-the-last-dilate",
-        "src/ehrhart/cli.py",
-        "for n in range(1, d + 1):\n                bounding_box(",
-        "for n in range(1, d):\n                bounding_box(",
+        ENGINE,
+        "for n in range(1, d + 1):\n            bounding_box(",
+        "for n in range(1, d):\n            bounding_box(",
         CHARGE_TESTS,
+    ),
+    Mutant(
+        "delta-box-route-runs-before-the-boxes-are-charged",
+        ENGINE,
+        "        charge_volume(s, budget)\n",
+        "        delta_from_box(s, budget)\n",
+        CHARGE_TESTS,
+    ),
+    Mutant(
+        "delta-routes-agreement-dropped",
+        ENGINE,
+        "if deltas[0] != deltas[-1]:",
+        "if False:",
+        AGREEMENT_TESTS,
     ),
     Mutant(
         "count-points-interior-counts-the-boundary",
