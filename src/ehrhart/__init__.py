@@ -19,6 +19,7 @@ from .engine import (
     delta_from_box,
     delta_from_counts,
     ehrhart_coefficients,
+    ehrhart_counts,
     evaluate_ehrhart,
     evaluate_interior,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "delta_from_counts",
     "dump_simplex",
     "ehrhart_coefficients",
+    "ehrhart_counts",
     "enumerate_candidates",
     "evaluate_ehrhart",
     "evaluate_interior",

@@ -24,7 +24,7 @@ import os
 import sys
 
 from .classifier import Verdict, enumerate_candidates, is_realizable
-from .engine import DEFAULT_BUDGET, delta_vector, ehrhart_coefficients, evaluate_ehrhart, evaluate_interior
+from .engine import DEFAULT_BUDGET, delta_vector, ehrhart_coefficients, ehrhart_counts
 from .errors import (
     DegenerateSimplexError,
     DimensionError,
@@ -127,6 +127,7 @@ def cmd_delta(args) -> tuple[dict, int]:
         d = simplex.dim
         delta = delta_vector(simplex, args.method, args.budget)
         coeffs = ehrhart_coefficients(delta)
+        counts, interior = ehrhart_counts(delta)
         payload = {
             "dimension": d,
             "method": args.method,
@@ -134,10 +135,7 @@ def cmd_delta(args) -> tuple[dict, int]:
             "normalized_volume": delta.normalized_volume,
             "volume": str(coeffs[-1]),
             "ehrhart_coeffs": [str(c) for c in coeffs],
-            "counts": [
-                {"n": n, "i": evaluate_ehrhart(delta, n), "i_star": evaluate_interior(delta, n)}
-                for n in range(1, d + 1)
-            ],
+            "counts": [{"n": n, "i": counts[n], "i_star": interior[n]} for n in range(1, d + 1)],
         }
         return payload, 0
 
@@ -206,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact delta-vector computation, checking, and realization for lattice simplices.",
     )
     parser.add_argument("--json", action="store_true", help="emit a one-line JSON document instead of key/value lines")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Without prog, argparse formats the top-level usage only to derive it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     p = sub.add_parser("delta", help="delta-vector and Ehrhart data of a polytope file")
     p.add_argument("polytope", help="path to a JSON polytope file")

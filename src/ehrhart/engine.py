@@ -24,10 +24,18 @@ Two independent routes are provided on purpose:
 ``delta_vector`` is the one entry point that picks the routes: it charges
 each route it will run against the budget (``charge_volume``,
 ``bounding_box``) before any of them starts, and checks that they agree.
+
+The Ehrhart data is read off delta in O(d^2) integer additions and small
+multiplications, whatever the number of nonzero delta_i: ``ehrhart_counts``
+takes i(P, n) and i*(P, n) for n = 0..d from prefix sums of delta, and
+``ehrhart_coefficients`` expands Newton's formula once by Horner's rule.
+``evaluate_ehrhart`` and ``evaluate_interior`` are the closed forms, for any
+n.
 """
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from operator import add, floordiv, mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -428,24 +436,48 @@ def evaluate_interior(delta: DeltaVector, n: int) -> int:
     return sum(e * math.comb(n - 1 + i, d) for i, e in enumerate(delta.entries) if e)
 
 
+def _prefix_sums(seq: Sequence[int]) -> list[int]:
+    """``seq`` after len(seq) prefix sums: the first len(seq) coefficients of
+    seq(t) / (1 - t)^len(seq), since dividing by 1 - t sums the prefixes."""
+    for _ in range(len(seq)):
+        seq = list(accumulate(seq))
+    return seq
+
+
+def ehrhart_counts(delta: DeltaVector) -> tuple[list[int], list[int]]:
+    """(i(P, n) for n = 0..d, i*(P, n) for n = 0..d), from d + 1 prefix sums
+    each, whatever the number of nonzero delta_i.
+
+    sum_n i(P, n) t^n = delta(t) / (1 - t)^(d+1) (Stanley), so the prefix sums
+    of (delta_0, ..., delta_d) give i(P, 0..d).  By Ehrhart-Macdonald
+    reciprocity sum_n i*(P, n) t^n = t^(d+1) delta(1/t) / (1 - t)^(d+1), whose
+    numerator up to t^d is (0, delta_d, ..., delta_1); its n = 0 term is 0.
+    """
+    e = delta.entries
+    return _prefix_sums(e), _prefix_sums((0, *e[:0:-1]))
+
+
 def ehrhart_coefficients(delta: DeltaVector) -> list[Fraction]:
     """Coefficients of i(P, n) as a polynomial in n, constant term first.
 
-    d! C(n + d - i, d) is the product of (n + r) for r = 1-i..d-i; the
-    products for the nonzero delta_i are expanded and summed in integers,
-    and only the sum is divided by d!.
+    With a_k the k-th forward difference of i(P, n) at n = 0, Newton's
+    formula gives d! i(P, n) = sum_k a_k (d!/k!) n(n-1)...(n-k+1), which one
+    Horner pass expands in integers: G <- (n - k) G + a_k d!/k! for k = d-1
+    down to 0, from G = a_d.  Only G is divided by d!.  a_k is entry k of
+    delta after d + 1 - k prefix sums, the coefficient of t^k in
+    delta(t) / (1 - t)^(d+1-k); so a_d comes from the first pass and a_0
+    from the last, in the order Horner's rule takes them, and each pass
+    drops the entry it reads, which no later one needs.
     """
     from fractions import Fraction
 
-    d = delta.d
-    total = [0] * (d + 1)
-    for i, e in enumerate(delta.entries):
-        if not e:
-            continue
-        poly = [1]
-        for r in range(1 - i, d - i + 1):
-            # poly * (n + r), coefficients constant term first
-            poly = [r * a + b for a, b in zip(poly + [0], [0] + poly)]
-        total = [t + e * c for t, c in zip(total, poly)]
-    scale = math.factorial(d)
-    return [Fraction(c, scale) for c in total]
+    s = list(accumulate(delta.entries))
+    g = [s.pop()]
+    scale = 1
+    for k in reversed(range(delta.d)):
+        scale *= k + 1
+        # g * (n - k), coefficients constant term first
+        g = [x - k * y for x, y in zip([0, *g], [*g, 0])]
+        s = list(accumulate(s))
+        g[0] += s.pop() * scale
+    return [Fraction(c, scale) for c in g]

@@ -340,6 +340,25 @@ def test_help_still_exits_zero(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: ehrhart")
 
 
+# The first line of ``-h`` for the program and each command, at 80 columns.
+USAGE_LINES = {
+    "": "usage: ehrhart [-h] [--json] {delta,check,realize,enumerate} ...",
+    "delta": "usage: ehrhart delta [-h] [--method {box,counts,both}] [--budget BUDGET]",
+    "check": "usage: ehrhart check [-h] delta [delta ...]",
+    "realize": "usage: ehrhart realize [-h] [--out OUT] delta [delta ...]",
+    "enumerate": "usage: ehrhart enumerate [-h] --dim DIM [--max-sum MAX_SUM] [--realize-all]",
+}
+
+
+@pytest.mark.parametrize("command", USAGE_LINES, ids=lambda c: c or "program")
+def test_help_usage_line_names_the_program_and_command(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.partition("\n")[0] == USAGE_LINES[command]
+
+
 STARTUP_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])

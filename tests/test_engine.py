@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from box_reference import reference_box_points, reference_delta
 from count_reference import reference_count
+from ehrhart_reference import reference_coefficients
 from ehrhart import engine
 from ehrhart.classifier import Verdict, enumerate_candidates
 from ehrhart.cli import main
@@ -25,6 +26,7 @@ from ehrhart.engine import (
     delta_from_box,
     delta_from_counts,
     ehrhart_coefficients,
+    ehrhart_counts,
     evaluate_ehrhart,
     evaluate_interior,
     DeltaVector,
@@ -654,6 +656,58 @@ def test_ehrhart_coefficients_section2_large_d():
     coeffs = ehrhart_coefficients(delta)
     assert coeffs[0] == 1  # i(P, 0) = 1
     assert sum(coeffs) == 202  # i(P, 1) = d + 1 lattice points
+
+
+def check_ehrhart_data(delta):
+    """The coefficients equal the reference expansion; the counts equal the
+    closed forms, i(P, n) for n = 0..d and i*(P, n) for n = 1..d, with the
+    interior series' constant term 0 at n = 0."""
+    d = delta.d
+    assert ehrhart_coefficients(delta) == reference_coefficients(delta.entries)
+    counts, interior = ehrhart_counts(delta)
+    assert counts == [evaluate_ehrhart(delta, n) for n in range(d + 1)]
+    assert interior == [0] + [evaluate_interior(delta, n) for n in range(1, d + 1)]
+
+
+@given(st.lists(st.integers(0, 9), max_size=12))
+@example([])
+@example([2])
+@example([0, 1, 0])
+@settings(max_examples=300, deadline=None)
+def test_ehrhart_data_matches_the_reference_expansion_and_the_closed_forms(tail):
+    check_ehrhart_data(DeltaVector((1, *tail)))
+
+
+@pytest.mark.parametrize(
+    "entries, coefficients, counts, interior",
+    [
+        # A point: i(P, n) = 1.
+        ((1,), [1], [1], [0]),
+        # The segment [0, 3]: i(P, n) = 3n + 1, and 3n - 1 interior points.
+        ((1, 2), [1, 3], [1, 4], [0, 2]),
+        # i(P, n) = C(n + 3, 3) + C(n + 1, 3) = n^3/3 + n^2 + 5n/3 + 1.
+        ((1, 0, 1, 0), [1, Fraction(5, 3), 1, Fraction(1, 3)], [1, 4, 11, 24], [0, 0, 1, 4]),
+    ],
+    ids=["point", "segment-0-3", "delta-1010"],
+)
+def test_ehrhart_data_examples(entries, coefficients, counts, interior):
+    delta = DeltaVector(entries)
+    assert ehrhart_coefficients(delta) == coefficients
+    assert ehrhart_counts(delta) == (counts, interior)
+
+
+def test_ehrhart_data_at_large_d():
+    """The d = 400 sum-3 witness delta, and the delta of a d = 100 cyclic
+    simplex conv(0, e_1, ..., e_99, (b, 3000)) with many nonzero entries."""
+    d = 400
+    check_ehrhart_data(DeltaVector(tuple(int(i in (0, d // 3, 2 * d // 3)) for i in range(d + 1))))
+    rng = random.Random(27)
+    d, volume = 100, 3000
+    vertices = [[0] * d] + [[int(j == k) for j in range(d)] for k in range(d - 1)]
+    vertices.append([rng.randrange(volume) for _ in range(d - 1)] + [volume])
+    delta = delta_from_box(LatticeSimplex(vertices))
+    assert sum(map(bool, delta.entries)) >= 20
+    check_ehrhart_data(delta)
 
 
 @given(simplices)

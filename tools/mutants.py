@@ -63,6 +63,7 @@ SCAN_TESTS = ("tests/test_engine.py::test_count_points_matches_the_reference_sca
 CHARGE_TESTS = ("tests/test_cli.py", "tests/test_engine.py", "-k", "before_any_work")
 AGREEMENT_TESTS = ("tests/test_cli.py", "tests/test_engine.py", "-k", "disagree")
 CLASSIFIER_TESTS = ("tests/test_classifier.py", "-k", "stanley or hibi or running_sum")
+EHRHART_TESTS = ("tests/test_engine.py", "-k", "ehrhart_data")
 
 MUTANTS = (
     Mutant(
@@ -245,6 +246,34 @@ MUTANTS = (
         "sum((-1) ** j * math.comb(d + 1, j)",
         "sum(math.comb(d + 1, j)",
         COUNTING_TESTS,
+    ),
+    Mutant(
+        "horner-step-adds-k-times-the-shifted-coefficient",
+        ENGINE,
+        "x - k * y",
+        "x + k * y",
+        EHRHART_TESTS,
+    ),
+    Mutant(
+        "interior-sequence-in-forward-order",
+        ENGINE,
+        "(0, *e[:0:-1])",
+        "(0, *e[1:])",
+        EHRHART_TESTS,
+    ),
+    Mutant(
+        "ehrhart-counts-one-prefix-pass-short",
+        ENGINE,
+        "    for _ in range(len(seq)):\n",
+        "    for _ in range(len(seq) - 1):\n",
+        EHRHART_TESTS,
+    ),
+    Mutant(
+        "forward-difference-read-one-pass-early",
+        ENGINE,
+        "        s = list(accumulate(s))\n        g[0] += s.pop() * scale\n",
+        "        g[0] += s.pop() * scale\n        s = list(accumulate(s))\n",
+        EHRHART_TESTS,
     ),
     Mutant(
         "hibi-stops-one-index-short",
