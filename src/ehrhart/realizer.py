@@ -175,7 +175,7 @@ def construct_lemma_second(k: int, ell: int) -> LatticeSimplex:
     return LatticeSimplex(verts)
 
 
-def _hnf_vertices(b: list[int], volume: int) -> Iterator[list[int]]:
+def hnf_vertices(b: list[int], volume: int) -> Iterator[list[int]]:
     """The vertices 0, e_1, ..., e_(d-1), (b, volume) of Z^d, d = len(b) + 1,
     one at a time, so that only the simplex's copy of them is ever whole."""
     d = len(b) + 1
@@ -231,7 +231,7 @@ def realize(entries) -> tuple[LatticeSimplex, ConstructionPlan]:
     # For V > 1, n1 >= 1, so a ends in a_d = 1 and b_i = -a_i mod V.
     a = [0] * (d + 1 - n1 - n2) + [2] * n2 + [1] * n1
     b = [-x % volume for x in a[1:d]]
-    simplex = LatticeSimplex(_hnf_vertices(b, volume))
+    simplex = LatticeSimplex(hnf_vertices(b, volume))
     plan = ConstructionPlan("cyclic", {"volume": volume, "b": b})
     recomputed = delta_from_box(simplex)
     if tuple(recomputed.entries) != entries:

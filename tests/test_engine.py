@@ -40,7 +40,7 @@ from ehrhart.errors import (
     SingularMatrixError,
 )
 from ehrhart.intlinalg import SnfDecomposition, smith_normal_form
-from ehrhart.realizer import construct_lemma_first, construct_section2, realize
+from ehrhart.realizer import construct_lemma_first, construct_section2, hnf_vertices, realize
 from ehrhart.simplex import LatticeSimplex, dump_simplex, unit_simplex
 from matrices import lifted_dense
 from rational_oracle import solve_rational
@@ -670,9 +670,6 @@ def check_ehrhart_data(delta):
 
 
 @given(st.lists(st.integers(0, 9), max_size=12))
-@example([])
-@example([2])
-@example([0, 1, 0])
 @settings(max_examples=300, deadline=None)
 def test_ehrhart_data_matches_the_reference_expansion_and_the_closed_forms(tail):
     check_ehrhart_data(DeltaVector((1, *tail)))
@@ -692,6 +689,7 @@ def test_ehrhart_data_matches_the_reference_expansion_and_the_closed_forms(tail)
 )
 def test_ehrhart_data_examples(entries, coefficients, counts, interior):
     delta = DeltaVector(entries)
+    check_ehrhart_data(delta)
     assert ehrhart_coefficients(delta) == coefficients
     assert ehrhart_counts(delta) == (counts, interior)
 
@@ -703,9 +701,7 @@ def test_ehrhart_data_at_large_d():
     check_ehrhart_data(DeltaVector(tuple(int(i in (0, d // 3, 2 * d // 3)) for i in range(d + 1))))
     rng = random.Random(27)
     d, volume = 100, 3000
-    vertices = [[0] * d] + [[int(j == k) for j in range(d)] for k in range(d - 1)]
-    vertices.append([rng.randrange(volume) for _ in range(d - 1)] + [volume])
-    delta = delta_from_box(LatticeSimplex(vertices))
+    delta = delta_from_box(LatticeSimplex(hnf_vertices([rng.randrange(volume) for _ in range(d - 1)], volume)))
     assert sum(map(bool, delta.entries)) >= 20
     check_ehrhart_data(delta)
 

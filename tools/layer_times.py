@@ -6,7 +6,7 @@ Three cases per dimension d:
 * ``sum3``: the witness that ``realize`` builds for delta with 1 at 0, d/3
   and 2d/3 (d >= 3);
 * ``cyclic``: the Hermite normal form simplex conv(0, e_1, ..., e_(d-1),
-  (b, V)) with b drawn from ``random.Random(seed)``, b_i in [0, V), which
+  (b, V)) with b drawn from ``random.Random(8)``, b_i in [0, V), which
   has many nonzero delta_i once V is large.
 
 Each case is written to a polytope file in a temporary directory, then
@@ -16,8 +16,8 @@ whole ``cli.main(["delta", file])`` with stdout sent to the null device.
 Each case prints one JSON line: the case, d, the normalized volume, the
 number of nonzero delta_i and the seconds of each step.
 
-Usage: python tools/layer_times.py [--dims D ...] [--volume V] [--seed S]
-                                   [--repeat N] [--cases CASE ...]
+Usage: python tools/layer_times.py [--dims D ...] [--volume V] [--repeat N]
+                                   [--cases CASE ...]
 
 Standard library only.  The package is imported from the src/ beside this
 directory.
@@ -41,13 +41,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ehrhart import cli  # noqa: E402
 from ehrhart.engine import delta_from_box, ehrhart_coefficients, ehrhart_counts  # noqa: E402
-from ehrhart.realizer import realize  # noqa: E402
+from ehrhart.realizer import hnf_vertices, realize  # noqa: E402
 from ehrhart.simplex import LatticeSimplex, dump_simplex, load_simplex, unit_simplex  # noqa: E402
 
 CASES = ("unit", "sum3", "cyclic")
+# The seed of the cyclic case's b.
+SEED = 8
 
 
-def build(case: str, d: int, volume: int, seed: int) -> LatticeSimplex:
+def build(case: str, d: int, volume: int) -> LatticeSimplex:
     if case == "unit":
         return unit_simplex(d)
     if case == "sum3":
@@ -55,13 +57,8 @@ def build(case: str, d: int, volume: int, seed: int) -> LatticeSimplex:
         for i in (0, d // 3, 2 * d // 3):
             entries[i] += 1
         return realize(entries)[0]
-    rng = random.Random(seed)
-    b = [rng.randrange(volume) for _ in range(d - 1)]
-    vertices = [[0] * d]
-    for k in range(d - 1):
-        vertices.append([int(j == k) for j in range(d)])
-    vertices.append(b + [volume])
-    return LatticeSimplex(vertices)
+    rng = random.Random(SEED)
+    return LatticeSimplex(hnf_vertices([rng.randrange(volume) for _ in range(d - 1)], volume))
 
 
 def best(repeat: int, step) -> float:
@@ -80,9 +77,9 @@ def quiet_delta(path: str) -> None:
         raise SystemExit(f"delta {path} exited {code}")
 
 
-def time_case(case: str, d: int, volume: int, seed: int, repeat: int, workdir: str) -> dict:
+def time_case(case: str, d: int, volume: int, repeat: int, workdir: str) -> dict:
     path = os.path.join(workdir, f"{case}-{d}.json")
-    dump_simplex(build(case, d, volume, seed), path)
+    dump_simplex(build(case, d, volume), path)
     s = load_simplex(path)
     delta = delta_from_box(s)
     seconds = {
@@ -95,7 +92,7 @@ def time_case(case: str, d: int, volume: int, seed: int, repeat: int, workdir: s
     nonzero = sum(1 for e in delta.entries if e)
     row = {"case": case, "d": d, "normalized_volume": delta.normalized_volume, "nonzero_delta": nonzero}
     if case == "cyclic":
-        row["seed"] = seed
+        row["seed"] = SEED
     return {**row, "repeat": repeat, "seconds": seconds}
 
 
@@ -103,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Time the layers of delta on large simplices, in process.")
     parser.add_argument("--dims", type=int, nargs="+", default=[400, 1404])
     parser.add_argument("--volume", type=int, default=20_000, help="V of the cyclic case")
-    parser.add_argument("--seed", type=int, default=8, help="seed of the cyclic case's b")
     parser.add_argument("--repeat", type=int, default=3, help="runs per step; the best is printed")
     parser.add_argument("--cases", nargs="+", choices=CASES, default=list(CASES))
     args = parser.parse_args(argv)
@@ -112,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for d in args.dims:
             for case in args.cases:
-                print(json.dumps(time_case(case, d, args.volume, args.seed, args.repeat, workdir)), flush=True)
+                print(json.dumps(time_case(case, d, args.volume, args.repeat, workdir)), flush=True)
     return 0
 
 
