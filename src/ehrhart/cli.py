@@ -14,7 +14,12 @@ The table lives in ``errors``: every package error carries its code as
 ``exit_code``, and ``main`` reports whatever error ends a command by that
 code.  A usage error (a missing or malformed argument) is invalid input.  A
 standard-library module that only some commands need, such as ``json``, is
-imported where it is used, so that a fresh ``check`` does not load it.
+imported where it is used, so that a fresh ``check`` does not load it.  For
+the same reason a call builds only the arguments of the command it parses:
+``build_parser`` makes the program's parser and all four command parsers,
+and each command parser declares its arguments when it first parses
+(``_Parser``).  Help and error texts are those of a parser that declared
+everything up front.
 """
 from __future__ import annotations
 
@@ -43,7 +48,24 @@ _VERDICT_CODE = {Verdict.YES: 0, Verdict.NO: NotRealizableError.exit_code, Verdi
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as invalid input instead of exiting with 2."""
+    """Reports usage errors as invalid input instead of exiting with 2, and
+    declares its arguments on its first parse.
+
+    ``declare``, if given, is a function that adds the parser's arguments.
+    ``parse_known_args`` runs it once, before the first parse, so a command
+    that is not parsed never gets its arguments built.  argparse parses a
+    command's arguments, ``-h`` included, by calling ``parse_known_args`` of
+    the command's parser, and ``add_parser`` passes ``declare`` on to it."""
+
+    def __init__(self, *args, declare=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
         raise InvalidInputError(f"{self.prog}: {message}")
@@ -67,8 +89,9 @@ def _no_digit_limit():
 
 
 def _emit(payload: dict, as_json: bool) -> None:
-    """Write the payload: ``key value`` lines, a witness's ``vertices`` a row
-    at a time, or with ``as_json`` the line that ``_write_json`` writes."""
+    """Write the payload: ``key value`` lines (an empty list is its key
+    alone), a witness's ``vertices`` a row at a time, or with ``as_json`` the
+    line that ``_write_json`` writes."""
     write = sys.stdout.write
     if as_json:
         _write_json(payload, write)
@@ -79,7 +102,9 @@ def _emit(payload: dict, as_json: bool) -> None:
             for row in value:
                 write(f" {list(row)}")
             write("\n")
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif value == []:
+            print(key)
+        elif isinstance(value, list) and isinstance(value[0], dict):
             for row in value:
                 print(f"{key} " + " ".join(str(v) for v in row.values()))
         elif isinstance(value, list):
@@ -144,7 +169,7 @@ def cmd_realize(args) -> tuple[dict, int]:
     entries = _parse_delta_args(args.delta)
     simplex, plan = realize(entries)
     payload = {"delta": list(entries), "dimension": simplex.dim, "plan": plan.describe(), "verified": "yes"}
-    if args.out:
+    if args.out is not None:
         try:
             dump_simplex(simplex, args.out, plan=plan.describe())
         except OSError as exc:
@@ -198,16 +223,7 @@ def _budget(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ehrhart",
-        description="Exact delta-vector computation, checking, and realization for lattice simplices.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit a one-line JSON document instead of key/value lines")
-    # Without prog, argparse formats the top-level usage only to derive it.
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-
-    p = sub.add_parser("delta", help="delta-vector and Ehrhart data of a polytope file")
+def _delta_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("polytope", help="path to a JSON polytope file")
     p.add_argument("--method", choices=("box", "counts", "both"), default="box")
     p.add_argument(
@@ -219,20 +235,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("check", help="inequality report and realizability verdict")
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("delta", nargs="+", help="delta entries starting with delta_0")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("realize", help="construct a witness simplex for a YES candidate")
+
+def _realize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("delta", nargs="+", help="delta entries starting with delta_0")
     p.add_argument("--out", help="write the witness polytope file here")
     p.set_defaults(func=cmd_realize)
 
-    p = sub.add_parser("enumerate", help="tabulate all candidates for a dimension")
+
+def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--max-sum", type=int, default=3)
     p.add_argument("--realize-all", action="store_true")
     p.set_defaults(func=cmd_enumerate)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the program and its four commands."""
+    parser = _Parser(
+        prog="ehrhart",
+        description="Exact delta-vector computation, checking, and realization for lattice simplices.",
+    )
+    parser.add_argument("--json", action="store_true", help="emit a one-line JSON document instead of key/value lines")
+    # Without prog, argparse formats the top-level usage only to derive it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    sub.add_parser("delta", help="delta-vector and Ehrhart data of a polytope file", declare=_delta_arguments)
+    sub.add_parser("check", help="inequality report and realizability verdict", declare=_check_arguments)
+    sub.add_parser("realize", help="construct a witness simplex for a YES candidate", declare=_realize_arguments)
+    sub.add_parser("enumerate", help="tabulate all candidates for a dimension", declare=_enumerate_arguments)
     return parser
 
 

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output determinism, JSON parity."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -295,6 +296,10 @@ def test_check_rejects_non_integer(capsys):
     assert code == 1 and "status invalid-input" in out
 
 
+def case_id(value):
+    return " ".join(value) or "no-command" if isinstance(value, list) else None
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -359,6 +364,163 @@ def test_help_usage_line_names_the_program_and_command(capsys, monkeypatch, comm
     assert capsys.readouterr().out.partition("\n")[0] == USAGE_LINES[command]
 
 
+# The whole of ``-h`` for the program and each command at 80 columns, as
+# printed when every command's arguments were declared up front.
+HELP_TEXTS = {
+    "": """\
+usage: ehrhart [-h] [--json] {delta,check,realize,enumerate} ...
+
+Exact delta-vector computation, checking, and realization for lattice
+simplices.
+
+positional arguments:
+  {delta,check,realize,enumerate}
+    delta               delta-vector and Ehrhart data of a polytope file
+    check               inequality report and realizability verdict
+    realize             construct a witness simplex for a YES candidate
+    enumerate           tabulate all candidates for a dimension
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit a one-line JSON document instead of key/value
+                        lines
+""",
+    "delta": """\
+usage: ehrhart delta [-h] [--method {box,counts,both}] [--budget BUDGET]
+                     polytope
+
+positional arguments:
+  polytope              path to a JSON polytope file
+
+options:
+  -h, --help            show this help message and exit
+  --method {box,counts,both}
+  --budget BUDGET       work budget: most box points (normalized volume) for
+                        the box method, most bounding-box candidates per
+                        dilate for the counting method
+""",
+    "check": """\
+usage: ehrhart check [-h] delta [delta ...]
+
+positional arguments:
+  delta       delta entries starting with delta_0
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "realize": """\
+usage: ehrhart realize [-h] [--out OUT] delta [delta ...]
+
+positional arguments:
+  delta       delta entries starting with delta_0
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT   write the witness polytope file here
+""",
+    "enumerate": """\
+usage: ehrhart enumerate [-h] --dim DIM [--max-sum MAX_SUM] [--realize-all]
+
+options:
+  -h, --help         show this help message and exit
+  --dim DIM
+  --max-sum MAX_SUM
+  --realize-all
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP_TEXTS, ids=lambda c: c or "program")
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
+
+
+# Usage errors and their messages, as given when every command's arguments
+# were declared up front.  A call whose first token abbreviates --json gets
+# the message in a JSON document.
+USAGE_ERRORS = [
+    ([], "ehrhart: the following arguments are required: command"),
+    (["check"], "ehrhart check: the following arguments are required: delta"),
+    (["realize", "--out", "w.json"], "ehrhart realize: the following arguments are required: delta"),
+    (["delta"], "ehrhart delta: the following arguments are required: polytope"),
+    (["enumerate", "--realize-all"], "ehrhart enumerate: the following arguments are required: --dim"),
+    (["bogus"], "ehrhart: argument command: invalid choice: 'bogus' (choose from 'delta', 'check', 'realize', 'enumerate')"),
+    (["delta", "p.json", "--method", "fast"], "ehrhart delta: argument --method: invalid choice: 'fast' (choose from 'box', 'counts', 'both')"),
+    (["delta", "p.json", "--meth", "fast"], "ehrhart delta: argument --method: invalid choice: 'fast' (choose from 'box', 'counts', 'both')"),
+    (["delta", "p.json", "--budget", "1.5"], "ehrhart delta: argument --budget: invalid int value: '1.5'"),
+    (["delta", "p.json", "q.json"], "ehrhart: unrecognized arguments: q.json"),
+    (["check", "1", "0", "--json"], "ehrhart: unrecognized arguments: --json"),
+    (["enumerate", "--dim", "3", "extra"], "ehrhart: unrecognized arguments: extra"),
+    (["enumerate", "--dim", "3", "--max", "x"], "ehrhart enumerate: argument --max-sum: invalid int value: 'x'"),
+    (["realize", "--out"], "ehrhart realize: argument --out: expected one argument"),
+    (["--json"], "ehrhart: the following arguments are required: command"),
+    (["--json", "bogus"], "ehrhart: argument command: invalid choice: 'bogus' (choose from 'delta', 'check', 'realize', 'enumerate')"),
+    (["--json", "check", "1", "0", "--bogus"], "ehrhart: unrecognized arguments: --bogus"),
+    (["--json", "enumerate", "--dim", "abc"], "ehrhart enumerate: argument --dim: invalid int value: 'abc'"),
+    (["--jso", "check"], "ehrhart check: the following arguments are required: delta"),
+    (["--js", "delta"], "ehrhart delta: the following arguments are required: polytope"),
+]
+
+
+def argparse_quotes_choices():
+    """Whether argparse quotes each choice in an invalid-choice error, as the
+    releases the messages above were captured on do.  Later patch releases
+    list them bare."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("x", choices=["a"])
+    with pytest.raises(argparse.ArgumentError) as exc:
+        probe.parse_args(["b"])
+    return "'a'" in str(exc.value)
+
+
+@pytest.mark.parametrize("argv, error", USAGE_ERRORS, ids=case_id)
+def test_usage_error_text_is_unchanged(capsys, argv, error):
+    if not argparse_quotes_choices():
+        head, sep, listed = error.partition("(choose from ")
+        error = head + sep + listed.replace("'", "")
+    code, out = run(capsys, *argv)
+    if argv[:1] and argv[0].startswith("--js"):
+        assert (code, out) == (1, f'{{"status": "invalid-input", "error": "{error}", "exit_code": 1}}\n')
+    else:
+        assert (code, out) == (1, f"status invalid-input\nerror {error}\nexit_code 1\n")
+
+
+def test_one_parser_parses_every_command_twice():
+    # A command's arguments are declared once: declaring them again on the
+    # second parse would raise argparse.ArgumentError (a repeated option) or
+    # parse differently (a repeated positional).
+    parser = cli.build_parser()
+    for argv in (
+        ["delta", "p.json", "--method", "both", "--budget", "9"],
+        ["check", "1", "0", "1", "0"],
+        ["realize", "1", "0", "1", "0", "--out", "w.json"],
+        ["enumerate", "--dim", "3", "--max-sum", "2", "--realize-all"],
+    ):
+        first = parser.parse_args(argv)
+        assert parser.parse_args(argv) == first and first.func is getattr(cli, f"cmd_{argv[0]}")
+
+
+def test_check_declares_only_its_own_arguments(monkeypatch, capsys):
+    declared = []
+
+    def recorded(command, declare):
+        def run_declare(p):
+            declared.append(command)
+            declare(p)
+
+        return run_declare
+
+    for command in ("delta", "check", "realize", "enumerate"):
+        name = f"_{command}_arguments"
+        monkeypatch.setattr(cli, name, recorded(command, getattr(cli, name)))
+    code, out = run(capsys, "check", "1", "0", "0", "0")
+    assert code == 0 and out.startswith("status ok\n") and declared == ["check"]
+
+
 STARTUP_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -395,12 +557,14 @@ def test_realize_writes_verified_witness(tmp_path, capsys):
     assert witness.dim == 9
 
 
-@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+@pytest.mark.parametrize("where", ["missing-parent", "directory", "empty"])
 def test_realize_unwritable_out_is_invalid_input(tmp_path, capsys, where):
-    out_path = tmp_path / "missing" / "w.json" if where == "missing-parent" else tmp_path
-    code, out = run(capsys, "realize", "1", "0", "0", "0", "--out", str(out_path))
+    # An empty path names no file: it is a path that cannot be written, not
+    # a missing --out.
+    out_path = {"missing-parent": str(tmp_path / "missing" / "w.json"), "directory": str(tmp_path), "empty": ""}[where]
+    code, out = run(capsys, "realize", "1", "0", "0", "0", "--out", out_path)
     assert code == 1 and out.startswith("status invalid-input\n")
-    assert "error cannot write witness file: " in out and out.endswith("exit_code 1\n")
+    assert "error cannot write witness file: " in out and out.endswith(f": {out_path!r}\nexit_code 1\n")
 
 
 def test_realize_refuses_a_witness_past_the_budget(capsys):
@@ -474,6 +638,19 @@ def test_failed_witness_verification_is_internal_inconsistency(monkeypatch, caps
     assert all(row.get("realized") == "FAILED" for row in doc["candidates"] if row["verdict"] == "yes")
 
 
+def test_text_lines_end_without_whitespace(tmp_path, capsys):
+    # An empty list is its key alone: no candidate has sum 0, and the
+    # 0-simplex has no dilate n >= 1 to count.
+    point = tmp_path / "point.json"
+    point.write_text('{"ambient_dim": 0, "vertices": [[]]}')
+    for argv, key in ((["enumerate", "--dim", "3", "--max-sum", "0"], "candidates"), (["delta", str(point)], "counts")):
+        code, out = run(capsys, *argv)
+        assert code == 0 and f"\n{key}\n" in out
+        assert [line.rstrip() for line in out.splitlines()] == out.splitlines()
+        code, out = run(capsys, "--json", *argv)
+        assert code == 0 and json.loads(out)[key] == []
+
+
 def test_output_is_deterministic(section2_file, capsys):
     _, first = run(capsys, "delta", section2_file)
     _, second = run(capsys, "delta", section2_file)
@@ -538,10 +715,6 @@ JSON_CASES = [
     (["enumerate", "--dim", "abc"], 1, None),
     ([], 1, None),
 ]
-
-
-def case_id(value):
-    return " ".join(value) or "no-command" if isinstance(value, list) else None
 
 
 @pytest.mark.parametrize("argv,code,patch", JSON_CASES, ids=case_id)

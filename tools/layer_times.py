@@ -16,6 +16,14 @@ whole ``cli.main(["delta", file])`` with stdout sent to the null device.
 Each case prints one JSON line: the case, d, the normalized volume, the
 number of nonzero delta_i and the seconds of each step.
 
+First, one ``cli`` line times the command-line layer in microseconds per
+call, best of ``--repeat`` runs of ``CLI_CALLS`` calls: ``cli.build_parser``
+alone, and ``cli.build_parser().parse_args(argv)`` with one argv of each
+command (parsing reads no file).  ``timeit`` times them with the cycle
+collector off, as a fresh process that makes one call has it idle: each
+call leaves its parser in reference cycles, and where a collection fell
+would otherwise move the time.
+
 Usage: python tools/layer_times.py [--dims D ...] [--volume V] [--repeat N]
                                    [--cases CASE ...]
 
@@ -35,6 +43,7 @@ import random
 import sys
 import tempfile
 import time
+import timeit
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -47,6 +56,14 @@ from ehrhart.simplex import LatticeSimplex, dump_simplex, load_simplex, unit_sim
 CASES = ("unit", "sum3", "cyclic")
 # The seed of the cyclic case's b.
 SEED = 8
+# One argv of each command for the cli line, and the calls in one run.
+CLI_ARGV = {
+    "delta": ["delta", "p.json"],
+    "check": ["check", "1", "0", "1", "0"],
+    "realize": ["realize", "1", "0", "1", "0"],
+    "enumerate": ["enumerate", "--dim", "3"],
+}
+CLI_CALLS = 100
 
 
 def build(case: str, d: int, volume: int) -> LatticeSimplex:
@@ -68,6 +85,16 @@ def best(repeat: int, step) -> float:
         step()
         times.append(time.perf_counter() - start)
     return round(min(times), 6)
+
+
+def time_cli(repeat: int) -> dict:
+    def per_call(step) -> float:
+        return round(min(timeit.Timer(step).repeat(repeat, CLI_CALLS)) / CLI_CALLS * 1e6, 1)
+
+    microseconds = {"build_parser": per_call(cli.build_parser)}
+    for command, argv in CLI_ARGV.items():
+        microseconds[command] = per_call(lambda: cli.build_parser().parse_args(argv))
+    return {"case": "cli", "calls": CLI_CALLS, "repeat": repeat, "microseconds": microseconds}
 
 
 def quiet_delta(path: str) -> None:
@@ -105,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1 or args.volume < 1 or min(args.dims) < 3:
         parser.error("--repeat and --volume must be positive and every dimension at least 3")
+    print(json.dumps(time_cli(args.repeat)), flush=True)
     with tempfile.TemporaryDirectory() as workdir:
         for d in args.dims:
             for case in args.cases:

@@ -185,6 +185,20 @@ MUTANTS = (
         EMIT_TESTS,
     ),
     Mutant(
+        "declare-on-every-parse",
+        "src/ehrhart/cli.py",
+        "declare, self._declare = self._declare, None",
+        "declare = self._declare",
+        ("tests/test_cli.py", "-k", "parses_every_command_twice"),
+    ),
+    Mutant(
+        "never-declare",
+        "src/ehrhart/cli.py",
+        "            declare(self)\n",
+        "",
+        ("tests/test_cli.py", "-k", "help_text"),
+    ),
+    Mutant(
         "text-matrix-rows-without-separator",
         "src/ehrhart/cli.py",
         'write(f" {list(row)}")',
